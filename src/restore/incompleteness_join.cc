@@ -68,6 +68,8 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
     std::vector<size_t> synth_group;     // for n:1 dedup: unique-tuple index
     size_t unique_synth = 0;
     std::vector<size_t> rep_rows;        // representative J row per unique
+    // Fan-out hops: encoded prefix + predicted TF of every J row.
+    IntMatrix all_codes;
 
     if (fanout) {
       // Count current join partners per key in the available target table.
@@ -87,12 +89,11 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
         }
       }
       RESTORE_ASSIGN_OR_RETURN(
-          IntMatrix codes,
-          model.EncodeEvidencePrefix(*db_, joined, hop, all_rows));
+          all_codes, model.EncodeEvidencePrefix(*db_, joined, hop, all_rows));
       RESTORE_ASSIGN_OR_RETURN(
           std::vector<int64_t> tfs,
-          model.SampleTupleFactors(*db_, joined, &codes, all_rows, hop, rng,
-                                   &have_counts, ctx));
+          model.SampleTupleFactors(*db_, joined, &all_codes, all_rows, hop,
+                                   rng, &have_counts, ctx));
       // Children are synthesized once per DISTINCT parent key and attached
       // to every J row carrying that key — J may contain a parent several
       // times when earlier hops fanned out, and synthesizing independently
@@ -220,32 +221,16 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
     }
     std::vector<Column> synth_attrs;
     if (unique_synth > 0) {
-      RESTORE_ASSIGN_OR_RETURN(
-          IntMatrix codes,
-          model.EncodeEvidencePrefix(*db_, joined, hop, rep_rows));
+      // A row's encoded prefix and predicted tuple factor depend on that row
+      // alone (and SampleTupleFactors draws no randomness), so a fan-out
+      // hop's representatives reuse the codes computed for all rows above:
+      // the target attributes are sampled conditioned on the same TFs.
+      IntMatrix codes;
       if (fanout) {
-        // Re-derive the TF codes for the representative rows so the target
-        // attributes are sampled conditioned on the same tuple factors.
-        RESTORE_ASSIGN_OR_RETURN(const Column* rk_base,
-                                 target_base->GetColumn(fk.child_column));
-        std::unordered_map<int64_t, int64_t> matches;
-        for (size_t r = 0; r < target_base->NumRows(); ++r) {
-          const int64_t key = rk_base->GetInt64(r);
-          if (key != kNullInt64) ++matches[key];
-        }
-        std::vector<int64_t> have(rep_rows.size(), 0);
-        for (size_t i = 0; i < rep_rows.size(); ++i) {
-          const int64_t key = lk_col.GetInt64(rep_rows[i]);
-          if (key != kNullInt64) {
-            auto it = matches.find(key);
-            have[i] = it == matches.end() ? 0 : it->second;
-          }
-        }
+        codes = all_codes.GatherRows(rep_rows);
+      } else {
         RESTORE_ASSIGN_OR_RETURN(
-            std::vector<int64_t> tf_again,
-            model.SampleTupleFactors(*db_, joined, &codes, rep_rows, hop, rng,
-                                     &have, ctx));
-        (void)tf_again;  // codes now carry the TF prefix for sampling
+            codes, model.EncodeEvidencePrefix(*db_, joined, hop, rep_rows));
       }
       int record_attr = -1;
       Matrix recorded;

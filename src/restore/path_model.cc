@@ -51,9 +51,10 @@ int64_t ClampTf(int64_t v, int tf_cap) {
 }
 
 /// Thread-safe log-gamma: std::lgamma writes the process-global `signgam`
-/// (POSIX), which is a data race when concurrent sessions predict tuple
-/// factors through one model. All inputs here are >= 1, so the sign output
-/// of the reentrant variant is irrelevant.
+/// (POSIX), which is a data race when models train or load concurrently
+/// (parallel candidate training) and tabulate their tuple-factor posteriors.
+/// All inputs here are >= 1, so the sign output of the reentrant variant is
+/// irrelevant.
 double LogGamma(double x) {
 #if defined(__GLIBC__) || defined(__APPLE__)
   int sign = 0;
@@ -61,6 +62,16 @@ double LogGamma(double x) {
 #else
   return std::lgamma(x);
 #endif
+}
+
+/// True if the partial join `joined` (qualified "table.column" names)
+/// already carries columns of base table `table`.
+bool JoinsTable(const Table& joined, const std::string& table) {
+  const std::string prefix = table + ".";
+  for (size_t c = 0; c < joined.NumColumns(); ++c) {
+    if (StartsWith(joined.column(c).name(), prefix)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -84,6 +95,7 @@ Result<std::unique_ptr<PathModel>> PathModel::Train(
   }
   RESTORE_RETURN_IF_ERROR(model->BuildTrainingData(db));
   RESTORE_RETURN_IF_ERROR(model->RunTraining(warm_start));
+  model->BuildTfPosteriorTables();
   model->batcher_ =
       std::make_unique<SampleBatcher>(model->made_.get(),
                                       &model->scratch_pool_);
@@ -699,12 +711,19 @@ Status PathModel::ComputeContext(const Table& joined,
     scratch->context.Resize(0, 0);
     return Status::OK();
   }
-  RESTORE_ASSIGN_OR_RETURN(
-      size_t ki, ResolveColumn(joined, ssar_root_table_ + "." + ssar_root_key_));
-  const Column& key_col = joined.column(ki);
-  std::vector<int64_t> keys(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    keys[i] = key_col.GetInt64(rows[i]);
+  // The deep-sets root is the parent of the path's LAST fan-out hop, so the
+  // partial join of an earlier hop may not contain it yet. Such rows get the
+  // empty-child-set context (null keys match no children): the context
+  // training gives a root without children.
+  std::vector<int64_t> keys(rows.size(), kNullInt64);
+  auto ki = ResolveColumn(joined, ssar_root_table_ + "." + ssar_root_key_);
+  if (ki.ok()) {
+    const Column& key_col = joined.column(ki.value());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      keys[i] = key_col.GetInt64(rows[i]);
+    }
+  } else if (JoinsTable(joined, ssar_root_table_)) {
+    return ki.status();
   }
   RESTORE_ASSIGN_OR_RETURN(std::vector<ChildBatch> children,
                            BuildChildBatches(keys, nullptr));
@@ -713,17 +732,58 @@ Status PathModel::ComputeContext(const Table& joined,
   return Status::OK();
 }
 
+void PathModel::BuildTfPosteriorTables() {
+  tf_posterior_.assign(tf_attr_of_hop_.size(), {});
+  for (size_t hop = 0; hop < tf_attr_of_hop_.size(); ++hop) {
+    const int tf_attr = tf_attr_of_hop_[hop];
+    if (tf_attr < 0) continue;
+    const ColumnDiscretizer& disc = attrs_[static_cast<size_t>(tf_attr)].disc;
+    TfPosteriorTable& table = tf_posterior_[hop];
+    const size_t vocab = static_cast<size_t>(disc.vocab_size());
+    table.code_mean.resize(vocab);
+    for (size_t k = 0; k < vocab; ++k) {
+      table.code_mean[k] = disc.CodeMean(static_cast<int32_t>(k));
+    }
+    const double rho = tf_keep_ratio_[hop];
+    if (!(rho < 1.0)) continue;
+    const size_t counts = static_cast<size_t>(config_.tf_cap) + 1;
+    table.likelihood.assign(counts * vocab, 0.0);
+    for (size_t hc = 0; hc < counts; ++hc) {
+      const double h = static_cast<double>(hc);
+      for (size_t k = 0; k < vocab; ++k) {
+        const double t = table.code_mean[k];
+        if (t < h) continue;
+        const double log_binom =
+            LogGamma(t + 1.0) - LogGamma(h + 1.0) - LogGamma(t - h + 1.0);
+        const double log_lik =
+            log_binom + h * std::log(rho) + (t - h) * std::log1p(-rho);
+        table.likelihood[hc * vocab + k] = std::exp(log_lik);
+      }
+    }
+  }
+}
+
 Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
     const Database& db, const Table& joined, IntMatrix* codes,
     const std::vector<size_t>& rows, size_t hop, Rng& rng,
     const std::vector<int64_t>* available_counts,
     const ExecContext* ctx) const {
   RESTORE_RETURN_IF_ERROR(ExecContext::Check(ctx));
-  const int tf_attr = tf_attr_of_hop_[hop];
-  if (tf_attr < 0) {
+  if (hop >= tf_attr_of_hop_.size() || tf_attr_of_hop_[hop] < 0) {
     return Status::InvalidArgument("hop is not a fan-out hop");
   }
-  const PathAttr& attr = attrs_[static_cast<size_t>(tf_attr)];
+  if (codes->rows() != rows.size() || codes->cols() != attrs_.size()) {
+    return Status::InvalidArgument(
+        StrFormat("tuple-factor codes are %zux%zu, expected %zux%zu",
+                  codes->rows(), codes->cols(), rows.size(), attrs_.size()));
+  }
+  if (available_counts != nullptr && available_counts->size() != rows.size()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu available counts for %zu evidence rows",
+                  available_counts->size(), rows.size()));
+  }
+  const size_t tf_attr = static_cast<size_t>(tf_attr_of_hop_[hop]);
+  const PathAttr& attr = attrs_[tf_attr];
   // Observed TFs take precedence; only unobserved rows are predicted.
   std::vector<int64_t> out(rows.size(), kNullInt64);
   auto obs_ci = ResolveColumn(joined, attr.qualified);
@@ -732,8 +792,7 @@ Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
     if (obs_ci.ok() && !joined.column(obs_ci.value()).IsNull(rows[i])) {
       out[i] = ClampTf(joined.column(obs_ci.value()).GetInt64(rows[i]),
                        config_.tf_cap);
-      codes->at(i, static_cast<size_t>(tf_attr)) =
-          static_cast<int32_t>(out[i]);
+      codes->at(i, tf_attr) = static_cast<int32_t>(out[i]);
     } else {
       unobserved.push_back(i);
     }
@@ -751,40 +810,38 @@ Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
     Matrix& probs = scratch->probs;
     if (batcher_ != nullptr && batcher_->enabled()) {
       RESTORE_RETURN_IF_ERROR(batcher_->PredictDistribution(
-          *codes, scratch->context, static_cast<size_t>(tf_attr), &probs,
-          ctx));
+          *codes, scratch->context, tf_attr, &probs, ctx));
     } else {
-      made_->PredictDistribution(*codes, scratch->context,
-                                 static_cast<size_t>(tf_attr), &probs,
+      made_->PredictDistribution(*codes, scratch->context, tf_attr, &probs,
                                  &scratch->made);
     }
-    const double rho = tf_keep_ratio_[hop];
+    const TfPosteriorTable& table = tf_posterior_[hop];
+    const std::vector<double>& code_mean = table.code_mean;
+    const size_t vocab = code_mean.size();
     for (size_t i : unobserved) {
+      const float* p = probs.row(i);
       double expected = 0.0;
-      if (available_counts != nullptr && rho < 1.0) {
+      if (available_counts != nullptr && !table.likelihood.empty()) {
         // Binomial missingness posterior over the model's distribution.
-        const double h = static_cast<double>(
-            std::min<int64_t>((*available_counts)[i], config_.tf_cap));
+        const int64_t hc = std::clamp<int64_t>((*available_counts)[i], 0,
+                                               config_.tf_cap);
+        const double h = static_cast<double>(hc);
+        const double* lik =
+            table.likelihood.data() + static_cast<size_t>(hc) * vocab;
         double norm = 0.0;
         double weighted = 0.0;
-        for (size_t k = 0; k < probs.cols(); ++k) {
-          const double t = attr.disc.CodeMean(static_cast<int32_t>(k));
+        for (size_t k = 0; k < vocab; ++k) {
+          const double t = code_mean[k];
           if (t < h) continue;
-          const double log_binom =
-              LogGamma(t + 1.0) - LogGamma(h + 1.0) - LogGamma(t - h + 1.0);
-          const double log_lik =
-              log_binom + h * std::log(rho) + (t - h) * std::log1p(-rho);
-          const double w =
-              static_cast<double>(probs.at(i, k)) * std::exp(log_lik);
+          const double w = static_cast<double>(p[k]) * lik[k];
           norm += w;
           weighted += w * t;
         }
         if (norm > 1e-30) expected = weighted / norm;
       }
       if (expected == 0.0) {
-        for (size_t k = 0; k < probs.cols(); ++k) {
-          expected += static_cast<double>(probs.at(i, k)) *
-                      attr.disc.CodeMean(static_cast<int32_t>(k));
+        for (size_t k = 0; k < vocab; ++k) {
+          expected += static_cast<double>(p[k]) * code_mean[k];
         }
         if (available_counts != nullptr) {
           expected = std::max(
@@ -793,8 +850,7 @@ Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
       }
       const int64_t tf = ClampTf(std::llround(expected), config_.tf_cap);
       out[i] = tf;
-      codes->at(i, static_cast<size_t>(tf_attr)) =
-          attr.disc.EncodeNumeric(static_cast<double>(tf));
+      codes->at(i, tf_attr) = attr.disc.EncodeNumeric(static_cast<double>(tf));
     }
   }
   (void)db;
@@ -1102,6 +1158,29 @@ Result<std::unique_ptr<PathModel>> PathModel::Load(
       model->train_marginals_.size() != model->attrs_.size()) {
     return Status::InvalidArgument("inconsistent model layout in model file");
   }
+  // The tuple-factor posterior table is sized (tf_cap + 1) x vocab and
+  // indexed by counts clamped to [0, tf_cap], so every TF attribute must
+  // carry the one-code-per-count discretizer MakeTfDiscretizer builds.
+  if (cfg.tf_cap < 0) {
+    return Status::InvalidArgument("negative tf_cap in model file");
+  }
+  for (int tf_attr : model->tf_attr_of_hop_) {
+    if (tf_attr >= 0 && (static_cast<size_t>(tf_attr) >= model->attrs_.size() ||
+                         !model->attrs_[static_cast<size_t>(tf_attr)]
+                              .is_tuple_factor)) {
+      return Status::InvalidArgument(
+          "model file hop points at no tuple-factor attribute");
+    }
+  }
+  for (const PathAttr& attr : model->attrs_) {
+    if (attr.is_tuple_factor &&
+        attr.disc.vocab_size() != static_cast<int64_t>(cfg.tf_cap) + 1) {
+      return Status::InvalidArgument(StrFormat(
+          "tuple-factor attribute '%s' has %d codes, but tf_cap %d needs %lld",
+          attr.qualified.c_str(), attr.disc.vocab_size(), cfg.tf_cap,
+          static_cast<long long>(cfg.tf_cap) + 1));
+    }
+  }
   for (const auto& tname : model->path_) {
     RESTORE_RETURN_IF_ERROR(db.GetTable(tname).status());
   }
@@ -1171,6 +1250,7 @@ Result<std::unique_ptr<PathModel>> PathModel::Load(
   // The loaded parameters are final; freeze the masked-weight caches for
   // reentrant inference (mirrors the end of RunTraining).
   model->made_->FinalizeForInference();
+  model->BuildTfPosteriorTables();
   // Batching knobs are not persisted (serving-only); the Db re-applies its
   // engine configuration right after Load, mirroring the scratch-pool cap.
   model->batcher_ = std::make_unique<SampleBatcher>(model->made_.get(),

@@ -185,7 +185,13 @@ class PathModel {
   ///   P(TF = t | have = h) ~ P_model(t) * C(t, h) rho^h (1-rho)^(t-h),
   /// where rho is the child keep ratio estimated from parents whose true
   /// tuple factor is observed. This couples the prediction to the observed
-  /// count and avoids systematic over-synthesis.
+  /// count and avoids systematic over-synthesis. The likelihood factor is
+  /// tabulated per hop over every (h, t) pair when the model is trained or
+  /// loaded, so the query path never calls lgamma/exp: it costs one
+  /// multiply-add per TF code and row. Counts are clamped into [0, tf_cap].
+  ///
+  /// `codes` must have one row per entry of `rows` and, if given,
+  /// `available_counts` one entry per row; otherwise InvalidArgument.
   ///
   /// `ctx` (optional, like every inference entry point below) is the
   /// query's execution context: it is checked cooperatively before each
@@ -274,6 +280,10 @@ class PathModel {
   Status ComputeContext(const Table& joined, const std::vector<size_t>& rows,
                         InferenceScratch* scratch) const;
 
+  /// Tabulates tf_posterior_ from the TF discretizers and keep ratios.
+  /// Called at the end of Train and Load; the table is never persisted.
+  void BuildTfPosteriorTables();
+
   std::vector<std::string> path_;
   PathModelConfig config_;
   SchemaAnnotation annotation_;
@@ -295,6 +305,17 @@ class PathModel {
   std::vector<int> tf_attr_of_hop_;
   std::vector<bool> hop_is_fanout_;
   std::vector<double> tf_keep_ratio_;  // per hop; 1.0 = complete
+
+  // Binomial missingness likelihood of one fan-out hop (see
+  // SampleTupleFactors): likelihood[h * vocab + k] =
+  // C(t_k, h) rho^h (1-rho)^(t_k-h) for available count h in [0, tf_cap]
+  // and TF code k with mean t_k (0 where t_k < h, never read). Empty when
+  // rho >= 1, where the plain expectation applies.
+  struct TfPosteriorTable {
+    std::vector<double> code_mean;   // t_k per TF code
+    std::vector<double> likelihood;  // (tf_cap + 1) x vocab, row-major
+  };
+  std::vector<TfPosteriorTable> tf_posterior_;  // per hop; empty for n:1
 
   // Training data.
   IntMatrix train_codes_;

@@ -1,9 +1,14 @@
 // Tests for the PathModel (AR/SSAR completion models) and the
 // incompleteness join on small synthetic data.
 
+#include <cmath>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "datagen/incompleteness.h"
+#include "datagen/setups.h"
 #include "datagen/synthetic.h"
 #include "metrics/metrics.h"
 #include "restore/incompleteness_join.h"
@@ -81,6 +86,189 @@ TEST(PathModelTest, RejectsTrivialPaths) {
   EXPECT_FALSE(
       PathModel::Train(s.incomplete, s.annotation, {"table_b"}, FastConfig())
           .ok());
+}
+
+/// The evidence of hop 0: every row of the path's root, with qualified
+/// column names as the incompleteness join sees them.
+Table RootEvidence(const Database& db, const std::string& root) {
+  Table joined = *db.GetTable(root).value();
+  joined.QualifyColumnNames(root);
+  return joined;
+}
+
+std::vector<size_t> AllRows(const Table& table) {
+  std::vector<size_t> rows(table.NumRows());
+  for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
+  return rows;
+}
+
+/// The tuple-factor posterior of SampleTupleFactors computed directly with
+/// lgamma per row and code: the reference the tabulated posterior must
+/// reproduce. `probs` is the model's TF distribution per row.
+std::vector<int64_t> ReferenceTupleFactors(
+    const PathModel& model, const Table& joined,
+    const std::vector<size_t>& rows, size_t hop, const Matrix& probs,
+    const std::vector<int64_t>& available) {
+  const PathAttr& attr =
+      model.attrs()[static_cast<size_t>(model.TfAttrIndex(hop))];
+  const int tf_cap = model.config().tf_cap;
+  const double rho = model.TfKeepRatio(hop);
+  const Column& observed = *joined.GetColumn(attr.qualified).value();
+  auto clamp = [tf_cap](int64_t v) {
+    return std::max<int64_t>(0, std::min<int64_t>(v, tf_cap));
+  };
+  std::vector<int64_t> out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!observed.IsNull(rows[i])) {
+      out[i] = clamp(observed.GetInt64(rows[i]));
+      continue;
+    }
+    double expected = 0.0;
+    if (rho < 1.0) {
+      const double h =
+          static_cast<double>(std::min<int64_t>(available[i], tf_cap));
+      double norm = 0.0;
+      double weighted = 0.0;
+      for (size_t k = 0; k < probs.cols(); ++k) {
+        const double t = attr.disc.CodeMean(static_cast<int32_t>(k));
+        if (t < h) continue;
+        const double log_binom = std::lgamma(t + 1.0) - std::lgamma(h + 1.0) -
+                                 std::lgamma(t - h + 1.0);
+        const double log_lik =
+            log_binom + h * std::log(rho) + (t - h) * std::log1p(-rho);
+        const double w =
+            static_cast<double>(probs.at(i, k)) * std::exp(log_lik);
+        norm += w;
+        weighted += w * t;
+      }
+      if (norm > 1e-30) expected = weighted / norm;
+    }
+    if (expected == 0.0) {
+      for (size_t k = 0; k < probs.cols(); ++k) {
+        expected += static_cast<double>(probs.at(i, k)) *
+                    attr.disc.CodeMean(static_cast<int32_t>(k));
+      }
+      expected = std::max(expected, static_cast<double>(available[i]));
+    }
+    out[i] = clamp(std::llround(expected));
+  }
+  return out;
+}
+
+/// Checks SampleTupleFactors against the direct formula on every root row.
+/// Available counts cycle over the UNOBSERVED rows through every h in
+/// [0, tf_cap] plus tf_cap + 1, so each table row (and the clamp) is hit.
+void ExpectPosteriorMatchesReference(const PathModel& model,
+                                     const Database& db) {
+  const Table joined = RootEvidence(db, model.path()[0]);
+  const std::vector<size_t> rows = AllRows(joined);
+  const int tf_cap = model.config().tf_cap;
+  const size_t tf_attr = static_cast<size_t>(model.TfAttrIndex(0));
+  const Column& observed =
+      *joined.GetColumn(model.attrs()[tf_attr].qualified).value();
+  std::vector<int64_t> available(rows.size(), 0);
+  int64_t next = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!observed.IsNull(rows[i])) continue;
+    available[i] = next;
+    next = (next + 1) % (tf_cap + 2);
+  }
+  auto codes = model.EncodeEvidencePrefix(db, joined, 0, rows);
+  ASSERT_TRUE(codes.ok()) << codes.status();
+  auto probs =
+      model.PredictAttrDistribution(db, joined, *codes, rows, tf_attr);
+  ASSERT_TRUE(probs.ok()) << probs.status();
+  const std::vector<int64_t> expected =
+      ReferenceTupleFactors(model, joined, rows, 0, *probs, available);
+
+  Rng rng(3);
+  auto tfs = model.SampleTupleFactors(db, joined, &*codes, rows, 0, rng,
+                                      &available);
+  ASSERT_TRUE(tfs.ok()) << tfs.status();
+  ASSERT_EQ(tfs->size(), expected.size());
+  size_t predicted = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ((*tfs)[i], expected[i]) << "row " << i << " available "
+                                      << available[i];
+    if (observed.IsNull(rows[i])) ++predicted;
+  }
+  EXPECT_GE(predicted, static_cast<size_t>(tf_cap) + 2)
+      << "too few unobserved rows to cover every available count";
+}
+
+TEST(PathModelTest, TupleFactorPosteriorTableMatchesDirectFormula) {
+  // rho < 1: the scenario removes children and keeps 30% of the observed
+  // tuple factors, so the binomial missingness posterior applies.
+  Scenario s = MakeScenario(0.9, 0.5, 0.4, 110);
+  auto model = PathModel::Train(s.incomplete, s.annotation,
+                                {"table_a", "table_b"}, FastConfig());
+  ASSERT_TRUE(model.ok()) << model.status();
+  ASSERT_LT((*model)->TfKeepRatio(0), 1.0);
+  ExpectPosteriorMatchesReference(**model, s.incomplete);
+
+  // The table is rebuilt at Load, not persisted: a loaded model agrees too.
+  BinaryWriter w;
+  (*model)->Save(&w);
+  BinaryReader r(w.buffer());
+  auto loaded = PathModel::Load(s.incomplete, s.annotation, &r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectPosteriorMatchesReference(**loaded, s.incomplete);
+
+  // rho = 1: every observed parent has all its children, so the plain
+  // expectation (floored at the available count) applies.
+  Database complete = s.complete.Clone();
+  ASSERT_TRUE(ThinTupleFactors(&complete, 0.3, 111).ok());
+  auto full = PathModel::Train(complete, s.annotation, {"table_a", "table_b"},
+                               FastConfig());
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ((*full)->TfKeepRatio(0), 1.0);
+  ExpectPosteriorMatchesReference(**full, complete);
+}
+
+TEST(PathModelTest, SampleTupleFactorsRejectsMismatchedSizes) {
+  Scenario s = MakeScenario(0.9, 0.5, 0.4, 112);
+  auto model = PathModel::Train(s.incomplete, s.annotation,
+                                {"table_a", "table_b"}, FastConfig());
+  ASSERT_TRUE(model.ok()) << model.status();
+  const Table joined = RootEvidence(s.incomplete, "table_a");
+  const std::vector<size_t> rows = AllRows(joined);
+  auto codes = (*model)->EncodeEvidencePrefix(s.incomplete, joined, 0, rows);
+  ASSERT_TRUE(codes.ok()) << codes.status();
+  Rng rng(4);
+
+  std::vector<int64_t> short_counts(rows.size() - 1, 0);
+  auto short_tfs = (*model)->SampleTupleFactors(s.incomplete, joined, &*codes,
+                                                rows, 0, rng, &short_counts);
+  ASSERT_FALSE(short_tfs.ok());
+  EXPECT_TRUE(short_tfs.status().IsInvalidArgument()) << short_tfs.status();
+
+  IntMatrix short_codes(rows.size() - 1, codes->cols());
+  auto short_rows = (*model)->SampleTupleFactors(s.incomplete, joined,
+                                                 &short_codes, rows, 0, rng);
+  ASSERT_FALSE(short_rows.ok());
+  EXPECT_TRUE(short_rows.status().IsInvalidArgument()) << short_rows.status();
+}
+
+TEST(PathModelTest, LoadRejectsTfCapThatDisagreesWithTfDiscretizer) {
+  Scenario s = MakeScenario(0.9, 0.5, 0.4, 113);
+  const std::vector<std::string> path{"table_a", "table_b"};
+  auto model = PathModel::Train(s.incomplete, s.annotation, path,
+                                FastConfig());
+  ASSERT_TRUE(model.ok()) << model.status();
+  BinaryWriter w;
+  (*model)->Save(&w);
+  // The payload opens with the path, then max_bins and tf_cap (I32 each).
+  BinaryWriter prefix;
+  prefix.VecStr(path);
+  const size_t tf_cap_at = prefix.buffer().size() + sizeof(int32_t);
+  for (int32_t bad_cap : {7, -1}) {
+    std::string payload = w.buffer();
+    std::memcpy(&payload[tf_cap_at], &bad_cap, sizeof(bad_cap));
+    BinaryReader r(payload);
+    auto loaded = PathModel::Load(s.incomplete, s.annotation, &r);
+    ASSERT_FALSE(loaded.ok()) << "tf_cap " << bad_cap;
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+  }
 }
 
 TEST(IncompletenessJoinTest, RestoresCardinality) {
@@ -204,6 +392,97 @@ TEST(IncompletenessJoinTest, RefusesIncompleteRoot) {
   IncompletenessJoinExecutor exec(&s.incomplete, &s.annotation);
   Rng rng(96);
   EXPECT_FALSE(exec.CompletePathJoin(**model, rng).ok());
+}
+
+/// CompletePathJoin predicts a fan-out hop's tuple factors once, for all
+/// rows, and takes the representative rows' codes from that pass. That is
+/// exact only if a row's encoded prefix and predicted TF depend on that row
+/// alone: encoding + predicting a subset (with repeats, as representatives
+/// of several missing children repeat) must give the same codes.
+void ExpectSubsetCodesMatchAllRows(const PathModel& model,
+                                   const Database& db) {
+  const Table joined = RootEvidence(db, model.path()[0]);
+  const std::vector<size_t> rows = AllRows(joined);
+  ASSERT_GT(rows.size(), 60u);
+  std::vector<int64_t> available(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    available[i] = static_cast<int64_t>(i % 5);
+  }
+  Rng rng(5);
+  auto all_codes = model.EncodeEvidencePrefix(db, joined, 0, rows);
+  ASSERT_TRUE(all_codes.ok()) << all_codes.status();
+  auto all_tfs = model.SampleTupleFactors(db, joined, &*all_codes, rows, 0,
+                                          rng, &available);
+  ASSERT_TRUE(all_tfs.ok()) << all_tfs.status();
+
+  const std::vector<size_t> subset{41, 3, 3, 3, 17, 59, 0, 22, 22, 58};
+  std::vector<int64_t> subset_available;
+  for (size_t r : subset) subset_available.push_back(available[r]);
+  auto codes = model.EncodeEvidencePrefix(db, joined, 0, subset);
+  ASSERT_TRUE(codes.ok()) << codes.status();
+  auto tfs = model.SampleTupleFactors(db, joined, &*codes, subset, 0, rng,
+                                      &subset_available);
+  ASSERT_TRUE(tfs.ok()) << tfs.status();
+
+  const IntMatrix gathered = all_codes->GatherRows(subset);
+  ASSERT_EQ(gathered.cols(), codes->cols());
+  for (size_t i = 0; i < subset.size(); ++i) {
+    EXPECT_EQ((*tfs)[i], (*all_tfs)[subset[i]]) << "row " << subset[i];
+    for (size_t a = 0; a < codes->cols(); ++a) {
+      EXPECT_EQ(codes->at(i, a), gathered.at(i, a))
+          << "row " << subset[i] << " attr " << a;
+    }
+  }
+}
+
+TEST(IncompletenessJoinTest, RepresentativeRowsReuseAllRowsTupleFactors) {
+  Scenario s = MakeScenario(0.9, 0.5, 0.4, 114);
+  auto ar = PathModel::Train(s.incomplete, s.annotation,
+                             {"table_a", "table_b"}, FastConfig());
+  ASSERT_TRUE(ar.ok()) << ar.status();
+  ExpectSubsetCodesMatchAllRows(**ar, s.incomplete);
+
+  PathModelConfig ssar_config = FastConfig();
+  ssar_config.use_ssar = true;
+  auto ssar = PathModel::Train(s.incomplete, s.annotation,
+                               {"table_a", "table_b"}, ssar_config);
+  ASSERT_TRUE(ssar.ok()) << ssar.status();
+  ASSERT_TRUE((*ssar)->is_ssar());
+  ExpectSubsetCodesMatchAllRows(**ssar, s.incomplete);
+}
+
+TEST(IncompletenessJoinTest, SsarCompletesPathWhoseRootJoinsAfterFirstHop) {
+  // M4's paths span five tables, e.g. actor -> movie_actor -> movie ->
+  // movie_director -> director. The deep-sets root is the parent of the
+  // LAST fan-out hop (movie), which earlier hops have not joined yet.
+  auto setup = SetupByName("M4");
+  ASSERT_TRUE(setup.ok());
+  auto complete = BuildCompleteDatabase("movies", 310, 0.08);
+  ASSERT_TRUE(complete.ok()) << complete.status();
+  auto incomplete = ApplySetup(*complete, *setup, 0.5, 0.5, 311);
+  ASSERT_TRUE(incomplete.ok()) << incomplete.status();
+  const SchemaAnnotation annotation = AnnotationFor(*setup);
+  auto paths =
+      EnumerateCompletionPaths(*incomplete, annotation, "director", 5);
+  ASSERT_FALSE(paths.empty());
+  const std::vector<std::string>& path = paths[0];
+  ASSERT_EQ(path.size(), 5u);
+
+  PathModelConfig config = FastConfig();
+  config.epochs = 3;
+  config.min_train_steps = 60;
+  config.use_ssar = true;
+  auto model = PathModel::Train(*incomplete, annotation, path, config);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ASSERT_TRUE((*model)->is_ssar());
+  ASSERT_TRUE((*model)->HopIsFanOut(0));
+
+  IncompletenessJoinExecutor exec(&*incomplete, &annotation);
+  Rng rng(312);
+  auto result = exec.CompletePathJoin(**model, rng);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->synthesized_counts["director"], 0u);
+  EXPECT_TRUE(result->joined.HasColumn("director.birth_year"));
 }
 
 TEST(PathSelectionTest, EnumeratesOnlyCompleteRoots) {
