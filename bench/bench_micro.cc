@@ -14,7 +14,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "datagen/incompleteness.h"
 #include "datagen/synthetic.h"
 #include "exec/join.h"
@@ -23,7 +22,6 @@
 #include "nn/matrix.h"
 #include "restore/db.h"
 #include "restore/discretizer.h"
-#include "restore/sample_batcher.h"
 #include "restore/kd_tree.h"
 #include "stats/histogram.h"
 #include "stats/stat_test.h"
@@ -104,9 +102,12 @@ void BM_MadeSample(benchmark::State& state) {
   config.hidden_dim = 64;
   config.num_layers = 2;
   MadeModel made(config, rng);
+  made.FinalizeForInference();
+  MadeScratch scratch;
   IntMatrix codes(static_cast<size_t>(state.range(0)), 5, 0);
   for (auto _ : state) {
-    made.SampleRange(&codes, Matrix(), 1, 5, rng);
+    made.SampleRange(&codes, Matrix(), 1, 5, rng, /*record_attr=*/-1,
+                     /*recorded=*/nullptr, &scratch);
     benchmark::DoNotOptimize(codes.row(0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -126,9 +127,12 @@ void BM_MadeSampleSliced(benchmark::State& state) {
   config.hidden_dim = 64;
   config.num_layers = 2;
   MadeModel made(config, rng);
+  made.FinalizeForInference();
+  MadeScratch scratch;
   IntMatrix codes(static_cast<size_t>(state.range(0)), 5, 0);
   for (auto _ : state) {
-    made.SampleRange(&codes, Matrix(), 1, 5, rng);
+    made.SampleRange(&codes, Matrix(), 1, 5, rng, /*record_attr=*/-1,
+                     /*recorded=*/nullptr, &scratch);
     benchmark::DoNotOptimize(codes.row(0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -146,10 +150,13 @@ void BM_MadeSampleAttr(benchmark::State& state) {
   config.hidden_dim = 64;
   config.num_layers = 2;
   MadeModel made(config, rng);
+  made.FinalizeForInference();
+  MadeScratch scratch;
   const size_t attr = static_cast<size_t>(state.range(0));
   IntMatrix codes(256, 5, 0);
   for (auto _ : state) {
-    made.SampleRange(&codes, Matrix(), attr, attr + 1, rng);
+    made.SampleRange(&codes, Matrix(), attr, attr + 1, rng,
+                     /*record_attr=*/-1, /*recorded=*/nullptr, &scratch);
     benchmark::DoNotOptimize(codes.row(0));
   }
   state.SetItemsProcessed(state.iterations() * 256);
@@ -256,79 +263,6 @@ void BM_ConcurrentInferenceMutex(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentInferenceMutex)->Threads(4)->UseRealTime();
 
-// ---- Cross-session coalesced sampling ---------------------------------------
-//
-// Arg(1) routes 4 client threads through one SampleBatcher that stacks
-// their concurrent SampleRange calls into a single wide forward pass per
-// attribute; Arg(0) runs the same requests through the batcher's solo path
-// (one pass per client). Unlike the benches above, this one pins the pool
-// at width 4 via Setup — under RESTORE_NUM_THREADS=1 (the CI gate
-// environment) batching-on would serialize all clients behind one
-// single-threaded leader, which is exactly the configuration the batching
-// knob is documented NOT to be used in. The CI gate compares the /1 vs /0
-// aggregate items/s on multi-core runners (--check-batching) and self-skips
-// below 4 CPUs.
-
-struct CoalesceFixture {
-  InferenceScratchPool pool;
-  SampleBatcher batcher;
-  explicit CoalesceFixture(bool enabled)
-      : batcher(&SharedInferenceModel(), &pool) {
-    SampleBatcher::Config cfg;
-    cfg.enabled = enabled;
-    cfg.wait_us = 200;
-    cfg.max_rows = 4096;
-    batcher.Configure(cfg);
-  }
-};
-
-CoalesceFixture& CoalesceOff() {
-  static auto* fixture = new CoalesceFixture(false);
-  return *fixture;
-}
-
-CoalesceFixture& CoalesceOn() {
-  static auto* fixture = new CoalesceFixture(true);
-  return *fixture;
-}
-
-void CoalescedSampleSetup(const benchmark::State&) {
-  ThreadPool::SetGlobalWidth(4);
-}
-
-void CoalescedSampleTeardown(const benchmark::State&) {
-  ThreadPool::SetGlobalWidth(0);  // back to the RESTORE_NUM_THREADS default
-}
-
-void BM_CoalescedSample(benchmark::State& state) {
-  SampleBatcher& batcher =
-      state.range(0) != 0 ? CoalesceOn().batcher : CoalesceOff().batcher;
-  const MadeModel& made = SharedInferenceModel();
-  const size_t batch = 64;
-  Rng rng(200 + static_cast<uint64_t>(state.thread_index()));
-  IntMatrix codes(batch, made.num_attrs(), 0);
-  const Matrix empty_context;
-  for (auto _ : state) {
-    Status st = batcher.SampleRange(&codes, empty_context, 1,
-                                    made.num_attrs(), rng,
-                                    /*record_attr=*/-1, /*recorded=*/nullptr,
-                                    /*ctx=*/nullptr);
-    if (!st.ok()) {
-      state.SkipWithError(st.ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(codes.row(0));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_CoalescedSample)
-    ->Arg(0)
-    ->Arg(1)
-    ->Threads(4)
-    ->UseRealTime()
-    ->Setup(CoalescedSampleSetup)
-    ->Teardown(CoalescedSampleTeardown);
-
 // ---- Db-level end-to-end QPS ------------------------------------------------
 //
 // Concurrent sessions execute a completed join query through the full
@@ -417,11 +351,6 @@ void BM_DbQps(benchmark::State& state) {
   state.counters["stats_selection_seconds"] = last_stats.selection_seconds;
   state.counters["stats_sample_seconds"] = last_stats.sample_seconds;
   state.counters["stats_aggregate_seconds"] = last_stats.aggregate_seconds;
-  state.counters["stats_batches_joined"] =
-      static_cast<double>(last_stats.batches_joined);
-  state.counters["stats_batch_wait_seconds"] = last_stats.batch_wait_seconds;
-  state.counters["stats_coalesced_rows"] =
-      static_cast<double>(last_stats.coalesced_rows);
   // Resilience counters (both 0 on the healthy bench path — the gate checks
   // they are EMITTED, and a nonzero value here would flag a regression).
   const Db::Stats db_stats = fixture.db->stats();

@@ -9,18 +9,14 @@ std::string ExecStats::ToString() const {
       "parse=%.3fms plan=%.3fms selection=%.3fms sample=%.3fms "
       "aggregate=%.3fms "
       "tuples_completed=%llu models_consulted=%llu cache_hits=%llu "
-      "cache_misses=%llu arenas_leased=%llu batches_joined=%llu "
-      "batch_wait=%.3fms coalesced_rows=%llu",
+      "cache_misses=%llu arenas_leased=%llu",
       parse_seconds * 1e3, plan_seconds * 1e3, selection_seconds * 1e3,
       sample_seconds * 1e3, aggregate_seconds * 1e3,
       static_cast<unsigned long long>(tuples_completed),
       static_cast<unsigned long long>(models_consulted),
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(arenas_leased),
-      static_cast<unsigned long long>(batches_joined),
-      batch_wait_seconds * 1e3,
-      static_cast<unsigned long long>(coalesced_rows));
+      static_cast<unsigned long long>(arenas_leased));
 }
 
 }  // namespace restore

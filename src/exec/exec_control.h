@@ -82,17 +82,6 @@ struct ExecStats {
   uint64_t cache_hits = 0;         // completion-cache hits
   uint64_t cache_misses = 0;       // completion-cache misses
   uint64_t arenas_leased = 0;      // inference scratch arenas leased
-  /// Cross-session batching (see PathModelConfig::batching_enabled): number
-  /// of coalesced forward passes this query's sampling requests shared with
-  /// at least one other request.
-  uint64_t batches_joined = 0;
-  /// Total time this query's requests spent queued in a SampleBatcher
-  /// waiting for batch-mates before their batch executed.
-  double batch_wait_seconds = 0.0;
-  /// Total stacked rows of every coalesced batch this query's requests
-  /// participated in (its own rows included) — the effective GEMM width its
-  /// forward passes ran at.
-  uint64_t coalesced_rows = 0;
 
   std::string ToString() const;
 };
@@ -201,9 +190,8 @@ class ExecContext {
   }
 
   /// Absolute deadline of the query (time_point::max() when none). Exposed
-  /// so shared infrastructure (once-latch waits, the sample batcher) can
-  /// honor a request's deadline without invoking its progress callback from
-  /// a foreign thread.
+  /// so shared infrastructure (the once-latch waits) can honor a request's
+  /// deadline without invoking its progress callback from a foreign thread.
   std::chrono::steady_clock::time_point deadline() const {
     return options_ == nullptr
                ? std::chrono::steady_clock::time_point::max()

@@ -33,15 +33,6 @@ struct MadeScratch {
   // SampleRange cold-starts them (arena rule 4 in src/nn/README.md).
   Matrix z1_lin;       // first-layer pre-activation carried across attrs
   Matrix delta_embed;  // (e_new - e_old) of the just-sampled attribute
-  // Multi-request staging for the batched entry points
-  // (MadeModel::SampleRangeBatched / PredictDistributionBatched): the
-  // requests' code/context rows stacked into one minibatch, plus the
-  // row -> request-index map the scatter phase uses. One arena serves the
-  // whole coalesced batch (src/nn/README.md rule 5); per-request outputs
-  // are written back through disjoint row windows.
-  IntMatrix batch_codes;           // stacked request codes
-  Matrix batch_context;            // stacked request conditioning rows
-  std::vector<uint32_t> batch_owner;  // stacked row -> request index
 };
 
 /// Per-call workspace of one DeepSetsEncoder inference pass. Child tables

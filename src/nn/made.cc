@@ -446,21 +446,6 @@ void MadeModel::Backward(const Matrix& dlogits, Matrix* dcontext) {
   }
 }
 
-void MadeModel::SampleConditional(IntMatrix* codes, const Matrix& context,
-                                  size_t first_attr, Rng& rng) {
-  SampleRange(codes, context, first_attr, num_attrs(), rng);
-}
-
-void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
-                            size_t first_attr, size_t end_attr, Rng& rng,
-                            int record_attr, Matrix* recorded) {
-  // Convenience entry for training-time/single-owner callers: freeze the
-  // current weights, then run the reentrant path on the member scratch.
-  FinalizeForInference();
-  SampleRange(codes, context, first_attr, end_attr, rng, record_attr,
-              recorded, &infer_scratch_);
-}
-
 void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
                             size_t first_attr, size_t end_attr, Rng& rng,
                             int record_attr, Matrix* recorded,
@@ -539,213 +524,6 @@ void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
       }
     });
   }
-}
-
-namespace {
-
-// Stacks the specs' code (and, for conditional models, context) rows into
-// the arena's batch staging buffers. Returns the per-spec row offsets into
-// the stacked minibatch.
-template <typename Spec>
-std::vector<size_t> StackSpecRows(const std::vector<Spec>& specs,
-                                  size_t num_attrs, size_t context_dim,
-                                  MadeScratch* scratch) {
-  size_t total = 0;
-  for (const Spec& s : specs) total += s.codes->rows();
-  IntMatrix& codes = scratch->batch_codes;
-  codes.Resize(total, num_attrs);
-  Matrix& context = scratch->batch_context;
-  context.Resize(context_dim == 0 ? 0 : total, context_dim);
-  scratch->batch_owner.resize(total);
-  std::vector<size_t> offset(specs.size(), 0);
-  size_t off = 0;
-  for (size_t q = 0; q < specs.size(); ++q) {
-    const Spec& s = specs[q];
-    const size_t rows = s.codes->rows();
-    offset[q] = off;
-    for (size_t r = 0; r < rows; ++r) {
-      const int32_t* src = s.codes->row(r);
-      int32_t* dst = codes.row(off + r);
-      for (size_t c = 0; c < num_attrs; ++c) dst[c] = src[c];
-      scratch->batch_owner[off + r] = static_cast<uint32_t>(q);
-    }
-    if (context_dim > 0) {
-      assert(s.context != nullptr && s.context->rows() == rows &&
-             s.context->cols() == context_dim);
-      for (size_t r = 0; r < rows; ++r) {
-        const float* src = s.context->row(r);
-        float* dst = context.row(off + r);
-        for (size_t c = 0; c < context_dim; ++c) dst[c] = src[c];
-      }
-    }
-    off += rows;
-  }
-  return offset;
-}
-
-}  // namespace
-
-void MadeModel::SampleRangeBatched(std::vector<MadeSampleSpec>* specs,
-                                   MadeScratch* scratch,
-                                   const std::function<void()>& poll) const {
-  // The incremental path carries cross-attribute scratch state keyed to one
-  // request's codes and is only tolerance-equivalent; batching callers gate
-  // on the config before coalescing.
-  assert(!config_.incremental_sampling);
-  const size_t n = specs->size();
-  if (n == 0) return;
-  size_t a_min = num_attrs();
-  size_t a_max = 0;
-  for (const MadeSampleSpec& s : *specs) {
-    assert(s.codes != nullptr && s.codes->cols() == num_attrs());
-    a_min = std::min(a_min, s.first_attr);
-    a_max = std::max(a_max, s.end_attr);
-  }
-  const std::vector<size_t> offset =
-      StackSpecRows(*specs, num_attrs(), has_context_ ? config_.context_dim : 0,
-                    scratch);
-  IntMatrix& codes = scratch->batch_codes;
-  const Matrix& context = scratch->batch_context;
-  const size_t total = codes.rows();
-  if (total == 0 || a_min >= a_max) return;
-  const std::vector<uint32_t>& owner = scratch->batch_owner;
-  Matrix& logits = scratch->logits;
-  int changed_attr = -1;
-  for (size_t a = a_min; a < a_max; ++a) {
-    if (poll) poll();
-    // An attribute no live request samples (dead requests, or disjoint
-    // windows) needs no pass: it changed no codes, so the changed_attr
-    // re-gather invariant carries straight to the next sampled attribute.
-    bool any_live = false;
-    for (const MadeSampleSpec& s : *specs) {
-      if (!s.dead && a >= s.first_attr && a < s.end_attr) {
-        any_live = true;
-        break;
-      }
-    }
-    if (!any_live) continue;
-    // One sliced pass over the WHOLE stacked minibatch. Rows outside their
-    // request's window at `a` are computed and discarded: by the MADE masks
-    // a row's logits depend only on that row's own earlier columns, so the
-    // in-window rows' values are bit-identical to a solo pass.
-    ForwardLogitsSlice(codes, context, a, changed_attr, &logits, scratch);
-    changed_attr = static_cast<int>(a);
-    const size_t begin = offsets_[a];
-    const size_t vocab = static_cast<size_t>(vocab_size(a));
-    for (MadeSampleSpec& s : *specs) {
-      if (!s.dead && s.record_attr >= 0 &&
-          static_cast<size_t>(s.record_attr) == a && s.recorded != nullptr) {
-        s.recorded->Resize(s.codes->rows(), vocab);
-      }
-    }
-    // Row-local softmax + inverse-CDF pick, exactly as in SampleRange; the
-    // uniform of stacked row r is its request's pre-drawn draw for
-    // (attribute, local row), so each request consumes the same stream
-    // values a solo call would.
-    ParallelFor(0, total, LossRowGrain(vocab), [&](size_t lo, size_t hi) {
-      for (size_t r = lo; r < hi; ++r) {
-        const MadeSampleSpec& s = (*specs)[owner[r]];
-        if (s.dead || a < s.first_attr || a >= s.end_attr) continue;
-        const size_t local = r - offset[owner[r]];
-        const double u =
-            s.uniforms[(a - s.first_attr) * s.codes->rows() + local];
-        const bool record = s.record_attr >= 0 &&
-                            static_cast<size_t>(s.record_attr) == a &&
-                            s.recorded != nullptr;
-        float* probs = logits.row(r) + begin;
-        const float max_v = RowMax(probs, vocab);
-        float sum = 0.0f;
-        for (size_t c = 0; c < vocab; ++c) {
-          probs[c] = std::exp(probs[c] - max_v);
-          sum += probs[c];
-        }
-        const float inv = 1.0f / sum;
-        double acc = 0.0;
-        int32_t pick = static_cast<int32_t>(vocab) - 1;
-        if (record) {
-          for (size_t c = 0; c < vocab; ++c) probs[c] *= inv;
-          float* dst = s.recorded->row(local);
-          for (size_t c = 0; c < vocab; ++c) dst[c] = probs[c];
-          for (size_t c = 0; c < vocab; ++c) {
-            acc += probs[c];
-            if (u < acc) {
-              pick = static_cast<int32_t>(c);
-              break;
-            }
-          }
-        } else {
-          for (size_t c = 0; c < vocab; ++c) {
-            acc += static_cast<double>(probs[c] * inv);
-            if (u < acc) {
-              pick = static_cast<int32_t>(c);
-              break;
-            }
-          }
-        }
-        codes.at(r, a) = pick;
-      }
-    });
-  }
-  // Scatter each surviving request's sampled window back.
-  for (size_t q = 0; q < n; ++q) {
-    MadeSampleSpec& s = (*specs)[q];
-    if (s.dead) continue;
-    for (size_t r = 0; r < s.codes->rows(); ++r) {
-      for (size_t a = s.first_attr; a < s.end_attr; ++a) {
-        s.codes->at(r, a) = codes.at(offset[q] + r, a);
-      }
-    }
-  }
-}
-
-void MadeModel::PredictDistributionBatched(std::vector<MadePredictSpec>* specs,
-                                           MadeScratch* scratch) const {
-  const size_t n = specs->size();
-  if (n == 0) return;
-  for (const MadePredictSpec& s : *specs) {
-    (void)s;
-    assert(s.codes != nullptr && s.codes->cols() == num_attrs());
-    assert(s.attr < num_attrs() && s.probs != nullptr);
-  }
-  const std::vector<size_t> offset =
-      StackSpecRows(*specs, num_attrs(), has_context_ ? config_.context_dim : 0,
-                    scratch);
-  const IntMatrix& codes = scratch->batch_codes;
-  const Matrix& context = scratch->batch_context;
-  if (codes.rows() == 0) return;
-  // One stacked trunk pass feeds every requested attribute's emission.
-  const Matrix* hidden = ForwardTrunk(codes, context, scratch);
-  Matrix& logits = scratch->logits;
-  std::vector<size_t> attrs;
-  for (const MadePredictSpec& s : *specs) attrs.push_back(s.attr);
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-  for (size_t attr : attrs) {
-    // Same op order as PredictDistribution: emit the slice, softmax it in
-    // place (distinct attributes occupy disjoint logit columns, and both
-    // stages are row-local, so foreign rows are computed-and-discarded),
-    // then copy each matching request's rows out.
-    EmitLogitsSlice(*hidden, context, attr, &logits, scratch);
-    SoftmaxSlice(&logits, offsets_[attr], offsets_[attr + 1]);
-    const size_t vocab = static_cast<size_t>(vocab_size(attr));
-    for (size_t q = 0; q < n; ++q) {
-      const MadePredictSpec& s = (*specs)[q];
-      if (s.attr != attr) continue;
-      s.probs->Resize(s.codes->rows(), vocab);
-      for (size_t r = 0; r < s.codes->rows(); ++r) {
-        const float* src = logits.row(offset[q] + r) + offsets_[attr];
-        float* dst = s.probs->row(r);
-        for (size_t c = 0; c < vocab; ++c) dst[c] = src[c];
-      }
-    }
-  }
-}
-
-void MadeModel::PredictDistribution(const IntMatrix& codes,
-                                    const Matrix& context, size_t attr,
-                                    Matrix* probs) {
-  FinalizeForInference();
-  PredictDistribution(codes, context, attr, probs, &infer_scratch_);
 }
 
 void MadeModel::PredictDistribution(const IntMatrix& codes,

@@ -38,45 +38,6 @@ struct MadeConfig {
   bool incremental_sampling = false;
 };
 
-/// One request of a coalesced multi-request sampling pass
-/// (MadeModel::SampleRangeBatched). Rows of all requests are stacked into
-/// one minibatch; each request keeps its own attribute window, recording
-/// target, and pre-drawn uniforms, so its sampled codes are bit-identical
-/// to a solo SampleRange call with the same rng state.
-struct MadeSampleSpec {
-  /// The request's codes, [rows x num_attrs]; sampled columns are written
-  /// back on completion (left untouched once `dead` is set).
-  IntMatrix* codes = nullptr;
-  /// Conditioning rows, [rows x context_dim]; ignored (may be empty) for
-  /// unconditional models.
-  const Matrix* context = nullptr;
-  size_t first_attr = 0;
-  size_t end_attr = 0;
-  /// As in SampleRange: when in [first_attr, end_attr), that attribute's
-  /// predictive distribution is stored into `recorded`.
-  int record_attr = -1;
-  Matrix* recorded = nullptr;
-  /// Pre-drawn uniforms, attr-major then row-major —
-  /// uniforms[(a - first_attr) * rows + r] — exactly the order SampleRange
-  /// consumes them from its rng, so pre-drawing leaves the caller's stream
-  /// in the identical state.
-  const double* uniforms = nullptr;
-  /// Cooperative abort: the poll hook may set this between attributes; the
-  /// request's remaining attributes are skipped and nothing is scattered
-  /// back. Other requests are unaffected (every row is computed from its
-  /// own codes only).
-  bool dead = false;
-};
-
-/// One request of a coalesced predictive-distribution pass
-/// (MadeModel::PredictDistributionBatched).
-struct MadePredictSpec {
-  const IntMatrix* codes = nullptr;   // [rows x num_attrs]
-  const Matrix* context = nullptr;    // [rows x context_dim] or empty
-  size_t attr = 0;
-  Matrix* probs = nullptr;            // out: [rows x vocab(attr)]
-};
-
 /// MADE with per-attribute embeddings (the architecture of [14]/naru [40]
 /// that the paper builds its completion models on): the network maps a batch
 /// of discretized attribute rows to, for each attribute i, the logits of the
@@ -106,7 +67,8 @@ class MadeModel {
   ///
   /// This is the TRAINING entry point: it uses the model's persistent member
   /// scratch, so it is single-threaded per model (the Db facade guarantees
-  /// one trainer per model). Inference uses the const overloads below.
+  /// one trainer per model). Inference uses the const, scratch-taking entry
+  /// points below.
   void Forward(const IntMatrix& codes, const Matrix& context, Matrix* logits,
                bool for_backward = true);
 
@@ -146,20 +108,13 @@ class MadeModel {
   /// ([batch x context_dim]); pass nullptr when not needed.
   void Backward(const Matrix& dlogits, Matrix* dcontext);
 
-  /// Samples attributes [first_attr, num_attrs) in place, conditioned on the
-  /// first `first_attr` columns of `codes` (and the context).
-  void SampleConditional(IntMatrix* codes, const Matrix& context,
-                         size_t first_attr, Rng& rng);
-
-  /// Samples only the attribute range [first_attr, end_attr) in place.
-  /// If `record_attr` is in range, the predictive distribution of that
+  /// Samples the attribute range [first_attr, end_attr) in place,
+  /// conditioned on the earlier columns of `codes` (and the context). If
+  /// `record_attr` is in range, the predictive distribution of that
   /// attribute is stored into `recorded` ([batch x vocab(record_attr)]).
-  void SampleRange(IntMatrix* codes, const Matrix& context, size_t first_attr,
-                   size_t end_attr, Rng& rng, int record_attr = -1,
-                   Matrix* recorded = nullptr);
-
-  /// Reentrant variant (see the scratch Forward); bit-identical to the
-  /// member-scratch SampleRange for the same rng state.
+  /// Reentrant (see the scratch Forward): every per-call buffer lives in
+  /// `scratch`, and FinalizeForInference() must have run after the last
+  /// parameter update.
   ///
   /// `should_stop` is the cooperative cancellation hook: it is evaluated
   /// once per attribute (one attribute's pass over the batch is one
@@ -173,45 +128,19 @@ class MadeModel {
                    Matrix* recorded, MadeScratch* scratch,
                    const std::function<bool()>& should_stop = {}) const;
 
-  /// Coalesced multi-request sampling: stacks every spec's rows into one
-  /// minibatch in `scratch` and runs ONE sliced forward pass per attribute
-  /// of the union window, so N concurrent requests pay N-fold GEMM width
-  /// instead of N passes. Per-request outputs are bit-identical to solo
-  /// SampleRange calls: each stacked row's logits depend only on that row's
-  /// own codes (MADE masking; rows outside their request's window are
-  /// computed and discarded), the softmax/pick is row-local, and the
-  /// uniforms come pre-drawn per request (see MadeSampleSpec::uniforms).
-  /// `poll`, when set, is invoked once per attribute before the forward
-  /// pass and may mark specs dead (cooperative cancellation; a dead
-  /// request's codes/recorded are left unspecified, batch-mates keep their
-  /// exact values). Requires incremental_sampling == false (that path
-  /// carries cross-attribute scratch state and is only
-  /// tolerance-equivalent); callers gate on it.
-  void SampleRangeBatched(std::vector<MadeSampleSpec>* specs,
-                          MadeScratch* scratch,
-                          const std::function<void()>& poll = {}) const;
-
-  /// Coalesced predictive distributions: one stacked trunk pass, then one
-  /// sliced output emission per DISTINCT attribute among the specs. Each
-  /// spec's probs are bit-identical to a solo PredictDistribution call.
-  void PredictDistributionBatched(std::vector<MadePredictSpec>* specs,
-                                  MadeScratch* scratch) const;
-
   /// Predictive distribution of a single attribute given its predecessors:
-  /// fills `probs` [batch x vocab(attr)].
-  void PredictDistribution(const IntMatrix& codes, const Matrix& context,
-                           size_t attr, Matrix* probs);
-
-  /// Reentrant variant (see the scratch Forward).
+  /// fills `probs` [batch x vocab(attr)]. Reentrant, with the same
+  /// FinalizeForInference() precondition as SampleRange. Row-local: a row's
+  /// probabilities are bit-identical whatever other rows share its batch.
   void PredictDistribution(const IntMatrix& codes, const Matrix& context,
                            size_t attr, Matrix* probs,
                            MadeScratch* scratch) const;
 
   /// Freezes the current parameters for reentrant inference: refreshes the
   /// cached masked weights (W * M) of every masked layer. Call once after
-  /// training (or after loading parameters); the const inference overloads
-  /// read those caches without refreshing them. The training Forward keeps
-  /// refreshing per call, so training never needs this.
+  /// training (or after loading parameters); the const inference entry
+  /// points read those caches without refreshing them. The training Forward
+  /// keeps refreshing per call, so training never needs this.
   void FinalizeForInference();
 
   void CollectParams(std::vector<Param*>* params);
@@ -285,10 +214,6 @@ class MadeModel {
   Matrix dz_scratch_;          // Backward: gradient through the ReLU branch
   Matrix dprev_scratch_;       // Backward: gradient wrt the layer input
   Matrix dctx_scratch_;        // Backward: per-layer context gradient
-  // Member arena backing the non-scratch SampleRange/PredictDistribution
-  // convenience overloads (training-time and single-owner callers only;
-  // concurrent inference brings caller-owned scratch instead).
-  MadeScratch infer_scratch_;
   bool has_context_ = false;
 };
 

@@ -872,9 +872,6 @@ void Db::RecordQuery(const ExecStats& stats, const Status& status) {
   t.cache_hits += stats.cache_hits;
   t.cache_misses += stats.cache_misses;
   t.arenas_leased += stats.arenas_leased;
-  t.batches_joined += stats.batches_joined;
-  t.batch_wait_seconds += stats.batch_wait_seconds;
-  t.coalesced_rows += stats.coalesced_rows;
 }
 
 Db::Stats Db::stats() const {
@@ -1647,13 +1644,9 @@ Status Db::LoadGenerationInto(
                     filename.c_str(), PathKey(model->path()).c_str(),
                     key.c_str()));
     }
-    // The arena-retention cap and the batching knobs are serving knobs, not
-    // part of the persisted payload: apply this Db's configuration to the
-    // restored model.
+    // The arena-retention cap is a serving knob, not part of the persisted
+    // payload: apply this Db's configuration to the restored model.
     model->set_scratch_pool_max_idle(config_.model.max_pooled_scratch_arenas);
-    model->set_batching_config(config_.model.batching_enabled,
-                               config_.model.batch_wait_us,
-                               config_.model.batch_max_rows);
     auto entry = std::make_shared<ModelEntry>();
     entry->path = model->path();
     entry->model = std::shared_ptr<const PathModel>(std::move(model));

@@ -96,21 +96,7 @@ Result<std::unique_ptr<PathModel>> PathModel::Train(
   RESTORE_RETURN_IF_ERROR(model->BuildTrainingData(db));
   RESTORE_RETURN_IF_ERROR(model->RunTraining(warm_start));
   model->BuildTfPosteriorTables();
-  model->batcher_ =
-      std::make_unique<SampleBatcher>(model->made_.get(),
-                                      &model->scratch_pool_);
-  model->set_batching_config(config.batching_enabled, config.batch_wait_us,
-                             config.batch_max_rows);
   return model;
-}
-
-void PathModel::set_batching_config(bool enabled, uint32_t wait_us,
-                                    size_t max_rows) const {
-  SampleBatcher::Config cfg;
-  cfg.enabled = enabled;
-  cfg.wait_us = wait_us;
-  cfg.max_rows = max_rows;
-  batcher_->Configure(cfg);
 }
 
 Status PathModel::BuildLayout(const Database& db,
@@ -808,13 +794,8 @@ Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
     // sample: counts derived from independent samples would systematically
     // overshoot E[max(0, TF - available)] (Jensen), inflating synthesis.
     Matrix& probs = scratch->probs;
-    if (batcher_ != nullptr && batcher_->enabled()) {
-      RESTORE_RETURN_IF_ERROR(batcher_->PredictDistribution(
-          *codes, scratch->context, tf_attr, &probs, ctx));
-    } else {
-      made_->PredictDistribution(*codes, scratch->context, tf_attr, &probs,
-                                 &scratch->made);
-    }
+    made_->PredictDistribution(*codes, scratch->context, tf_attr, &probs,
+                               &scratch->made);
     const TfPosteriorTable& table = tf_posterior_[hop];
     const std::vector<double>& code_mean = table.code_mean;
     const size_t vocab = code_mean.size();
@@ -871,22 +852,14 @@ Result<std::vector<Column>> PathModel::SynthesizeHop(
     ++ctx->stats()->arenas_leased;
   }
   RESTORE_RETURN_IF_ERROR(ComputeContext(joined, rows, scratch.get()));
-  if (batcher_ != nullptr && batcher_->enabled()) {
-    // Coalescable path: the call may ride a shared multi-request batch;
-    // results and the rng stream are bit-identical to the solo path below.
-    RESTORE_RETURN_IF_ERROR(batcher_->SampleRange(
-        codes, scratch->context, first, end, rng, record_attr, recorded,
-        ctx));
-  } else {
-    // The cooperative hook fires between per-attribute sampling batches; it
-    // never touches the rng, so an uncancelled run stays bit-identical.
-    std::function<bool()> should_stop;
-    if (ctx != nullptr) {
-      should_stop = [ctx] { return !ctx->Check().ok(); };
-    }
-    made_->SampleRange(codes, scratch->context, first, end, rng, record_attr,
-                       recorded, &scratch->made, should_stop);
+  // The cooperative hook fires between per-attribute sampling batches; it
+  // never touches the rng, so an uncancelled run stays bit-identical.
+  std::function<bool()> should_stop;
+  if (ctx != nullptr) {
+    should_stop = [ctx] { return !ctx->Check().ok(); };
   }
+  made_->SampleRange(codes, scratch->context, first, end, rng, record_attr,
+                     recorded, &scratch->made, should_stop);
   RESTORE_RETURN_IF_ERROR(ExecContext::Check(ctx));
 
   RESTORE_ASSIGN_OR_RETURN(const Table* target,
@@ -917,14 +890,8 @@ Result<Matrix> PathModel::PredictAttrDistribution(
   }
   RESTORE_RETURN_IF_ERROR(ComputeContext(joined, rows, scratch.get()));
   Matrix probs;
-  if (batcher_ != nullptr && batcher_->enabled()) {
-    RESTORE_RETURN_IF_ERROR(
-        batcher_->PredictDistribution(codes, scratch->context, attr, &probs,
-                                      ctx));
-  } else {
-    made_->PredictDistribution(codes, scratch->context, attr, &probs,
-                               &scratch->made);
-  }
+  made_->PredictDistribution(codes, scratch->context, attr, &probs,
+                             &scratch->made);
   return probs;
 }
 
@@ -1251,10 +1218,6 @@ Result<std::unique_ptr<PathModel>> PathModel::Load(
   // reentrant inference (mirrors the end of RunTraining).
   model->made_->FinalizeForInference();
   model->BuildTfPosteriorTables();
-  // Batching knobs are not persisted (serving-only); the Db re-applies its
-  // engine configuration right after Load, mirroring the scratch-pool cap.
-  model->batcher_ = std::make_unique<SampleBatcher>(model->made_.get(),
-                                                    &model->scratch_pool_);
   return model;
 }
 

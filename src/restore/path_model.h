@@ -16,7 +16,6 @@
 #include "nn/made.h"
 #include "restore/annotation.h"
 #include "restore/discretizer.h"
-#include "restore/sample_batcher.h"
 #include "storage/database.h"
 
 namespace restore {
@@ -55,16 +54,6 @@ struct PathModelConfig {
   // results, so it participates in neither the engine fingerprint nor the
   // persisted model payload.
   size_t max_pooled_scratch_arenas = 8;
-
-  // Serving: cross-session inference batching (see SampleBatcher).
-  // Concurrent sessions' sampling on one hot model is coalesced into one
-  // large forward pass after a bounded wait; results are bit-identical
-  // with batching on or off, so like the pool cap above these knobs are
-  // scheduling-only — excluded from the engine fingerprint and the
-  // persisted payload, and re-applied by the Db after a model loads.
-  bool batching_enabled = false;
-  uint32_t batch_wait_us = 200;   // leader's bounded wait for batch-mates
-  size_t batch_max_rows = 4096;   // stop collecting at this many rows
 };
 
 /// One attribute of the autoregressive ordering.
@@ -236,13 +225,6 @@ class PathModel {
   /// The model's scratch pool (introspection: idle/total_leases/dropped).
   const InferenceScratchPool& scratch_pool() const { return scratch_pool_; }
 
-  /// Reconfigures cross-session batching (PathModelConfig batching knobs;
-  /// applied by the Db at train/load time — the knobs are not persisted).
-  void set_batching_config(bool enabled, uint32_t wait_us,
-                           size_t max_rows) const;
-  /// The model's request batcher (tests: coalescing hooks/introspection).
-  SampleBatcher* sample_batcher() const { return batcher_.get(); }
-
   /// Marginal distribution of attribute `attr` in the training data
   /// (the P_incomplete of Section 6).
   const std::vector<double>& TrainMarginal(size_t attr) const {
@@ -342,11 +324,6 @@ class PathModel {
   std::unique_ptr<DeepSetsEncoder> deep_sets_;
 
   std::unique_ptr<MadeModel> made_;
-  // Cross-session request coalescing over made_ (see SampleBatcher).
-  // Declared after made_/scratch_pool_ so it drains and dies first; every
-  // inference entry point routes its sampling through it (pass-through
-  // when batching is disabled, the default).
-  mutable std::unique_ptr<SampleBatcher> batcher_;
   double test_loss_ = 0.0;
   double target_test_loss_ = 0.0;
   double train_seconds_ = 0.0;

@@ -103,7 +103,7 @@ void PrometheusRenderer::AddDbStats(const std::string& labels,
   } stages[] = {
       {"parse", t.parse_seconds},         {"plan", t.plan_seconds},
       {"selection", t.selection_seconds}, {"sample", t.sample_seconds},
-      {"aggregate", t.aggregate_seconds}, {"batch_wait", t.batch_wait_seconds},
+      {"aggregate", t.aggregate_seconds},
   };
   for (const auto& s : stages) {
     Counter("restore_query_stage_seconds_total",
@@ -126,13 +126,6 @@ void PrometheusRenderer::AddDbStats(const std::string& labels,
   Counter("restore_arenas_leased_total",
           "Inference scratch arenas leased by queries.", labels,
           static_cast<double>(t.arenas_leased));
-  Counter("restore_batches_joined_total",
-          "Coalesced forward passes shared with at least one other request.",
-          labels, static_cast<double>(t.batches_joined));
-  Counter("restore_coalesced_rows_total",
-          "Stacked rows of coalesced sampling batches queries participated "
-          "in.",
-          labels, static_cast<double>(t.coalesced_rows));
 
   Counter("restore_rows_ingested_total",
           "Rows appended to base relations via Db::Append.", labels,

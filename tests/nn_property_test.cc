@@ -55,8 +55,10 @@ TEST_P(MadeLearnsDependency, ConditionalConcentratesOnTarget) {
   for (size_t r = 0; r < query.rows(); ++r) {
     query.at(r, 0) = static_cast<int32_t>(r);
   }
+  made.FinalizeForInference();
+  MadeScratch scratch;
   Matrix probs;
-  made.PredictDistribution(query, Matrix(), 1, &probs);
+  made.PredictDistribution(query, Matrix(), 1, &probs, &scratch);
   for (size_t r = 0; r < query.rows(); ++r) {
     const size_t target =
         static_cast<size_t>((static_cast<int>(r) * c.k) % c.vb);
@@ -101,8 +103,10 @@ TEST(MadeMarginals, FirstAttributeLearnsMarginal) {
     adam.Step();
   }
   IntMatrix query(1, 2, 0);
+  made.FinalizeForInference();
+  MadeScratch scratch;
   Matrix probs;
-  made.PredictDistribution(query, Matrix(), 0, &probs);
+  made.PredictDistribution(query, Matrix(), 0, &probs, &scratch);
   EXPECT_NEAR(probs.at(0, 0), 0.6f, 0.07f);
   EXPECT_NEAR(probs.at(0, 1), 0.3f, 0.07f);
   EXPECT_NEAR(probs.at(0, 2), 0.1f, 0.05f);
@@ -182,8 +186,11 @@ TEST_P(SamplingValidity, CodesInRange) {
   config.hidden_dim = 24;
   config.num_layers = 2;
   MadeModel made(config, rng);
+  made.FinalizeForInference();
+  MadeScratch scratch;
   IntMatrix codes(32, static_cast<size_t>(n_attrs), 0);
-  made.SampleConditional(&codes, Matrix(), 0, rng);
+  made.SampleRange(&codes, Matrix(), 0, codes.cols(), rng, /*record_attr=*/-1,
+                   /*recorded=*/nullptr, &scratch);
   for (size_t r = 0; r < codes.rows(); ++r) {
     for (int a = 0; a < n_attrs; ++a) {
       EXPECT_GE(codes.at(r, static_cast<size_t>(a)), 0);

@@ -343,8 +343,10 @@ TEST(MadeTest, LearnsDeterministicDependency) {
   }
   IntMatrix query(4, 2, 0);
   for (size_t r = 0; r < 4; ++r) query.at(r, 0) = static_cast<int32_t>(r);
+  made.FinalizeForInference();
+  MadeScratch scratch;
   Matrix probs;
-  made.PredictDistribution(query, Matrix(), 1, &probs);
+  made.PredictDistribution(query, Matrix(), 1, &probs, &scratch);
   for (size_t r = 0; r < 4; ++r) {
     EXPECT_GT(probs.at(r, r % 2), 0.85f) << "a=" << r;
   }
@@ -380,7 +382,10 @@ TEST(MadeTest, SampleRangeRespectsConditioning) {
   for (size_t r = 0; r < 200; ++r) {
     codes.at(r, 0) = static_cast<int32_t>(r % 4);
   }
-  made.SampleRange(&codes, Matrix(), 1, 2, rng);
+  made.FinalizeForInference();
+  MadeScratch scratch;
+  made.SampleRange(&codes, Matrix(), 1, 2, rng, /*record_attr=*/-1,
+                   /*recorded=*/nullptr, &scratch);
   size_t correct = 0;
   for (size_t r = 0; r < 200; ++r) {
     if (codes.at(r, 1) == codes.at(r, 0) % 2) ++correct;

@@ -144,8 +144,6 @@ TEST(StatsToPrometheusTest, RendersEveryDbCounter) {
   stats.totals.cache_hits = 4;
   stats.totals.cache_misses = 5;
   stats.totals.arenas_leased = 6;
-  stats.totals.batches_joined = 2;
-  stats.totals.coalesced_rows = 77;
 
   const std::string text = StatsToPrometheus(stats);
   ValidatePrometheusText(text);
@@ -168,9 +166,6 @@ TEST(StatsToPrometheusTest, RendersEveryDbCounter) {
   EXPECT_NE(text.find("restore_cache_hits_total 4\n"), std::string::npos);
   EXPECT_NE(text.find("restore_cache_misses_total 5\n"), std::string::npos);
   EXPECT_NE(text.find("restore_arenas_leased_total 6\n"), std::string::npos);
-  EXPECT_NE(text.find("restore_batches_joined_total 2\n"), std::string::npos);
-  EXPECT_NE(text.find("restore_coalesced_rows_total 77\n"),
-            std::string::npos);
 }
 
 TEST(StatsToPrometheusTest, TenantLabelPrefixesEverySample) {

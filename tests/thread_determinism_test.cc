@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +25,6 @@
 #include "nn/made.h"
 #include "nn/matrix.h"
 #include "restore/db.h"
-#include "restore/sample_batcher.h"
 
 namespace restore {
 namespace {
@@ -74,10 +74,12 @@ TrainResult TrainAndSample(uint64_t seed) {
     adam.Step();
   }
 
+  made.FinalizeForInference();
+  MadeScratch scratch;
   IntMatrix sampled(batch, config.vocab_sizes.size(), 0);
   Matrix recorded;
   made.SampleRange(&sampled, empty_context, 0, config.vocab_sizes.size(), rng,
-                   /*record_attr=*/2, &recorded);
+                   /*record_attr=*/2, &recorded, &scratch);
   for (size_t r = 0; r < batch; ++r) {
     for (size_t a = 0; a < config.vocab_sizes.size(); ++a) {
       result.samples.push_back(sampled.at(r, a));
@@ -518,22 +520,16 @@ TEST(DbConcurrencyTest, CancelHammerYieldsAnswerOrCleanCancellation) {
   EXPECT_EQ(stats.queries_failed, 0u);
 }
 
-// ---- Cross-session batching (SampleBatcher) ---------------------------------
+// ---- Row locality of MADE inference ----------------------------------------
+//
+// A row's predictive distribution depends only on that row's own codes and
+// context: never on which rows share its batch, nor on where the row falls
+// in the GEMM's 4-row register tile (src/nn/README.md, inference rule 5).
+// CompletePathJoin relies on this when a fan-out hop's representative rows
+// reuse the tuple factors predicted for all rows.
 
-MadeConfig BatcherModelConfig() {
-  MadeConfig config;
-  // A wide attribute forces multi-shard row blocks (see TrainAndSample).
-  config.vocab_sizes = {9, 300, 17, 40, 5};
-  config.embed_dim = 6;
-  config.hidden_dim = 40;
-  config.num_layers = 2;
-  return config;
-}
-
-/// Deterministic evidence: every column filled with valid codes, so any
-/// [first_attr, end_attr) window has conditioning evidence to its left.
-IntMatrix EvidenceCodes(const MadeConfig& config, size_t rows, uint64_t seed) {
-  Rng rng(seed);
+/// Deterministic evidence: every column filled with valid codes.
+IntMatrix EvidenceCodes(const MadeConfig& config, size_t rows, Rng& rng) {
   IntMatrix codes(rows, config.vocab_sizes.size(), 0);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t a = 0; a < config.vocab_sizes.size(); ++a) {
@@ -544,473 +540,61 @@ IntMatrix EvidenceCodes(const MadeConfig& config, size_t rows, uint64_t seed) {
   return codes;
 }
 
-void ExpectSameCodes(const IntMatrix& got, const IntMatrix& want,
-                     const std::string& tag) {
-  ASSERT_EQ(got.rows(), want.rows()) << tag;
-  ASSERT_EQ(got.cols(), want.cols()) << tag;
-  for (size_t r = 0; r < got.rows(); ++r) {
-    for (size_t a = 0; a < got.cols(); ++a) {
-      ASSERT_EQ(got.at(r, a), want.at(r, a))
-          << tag << " row " << r << " attr " << a;
-    }
-  }
-}
+TEST(MadeRowLocalityTest, PredictDistributionRowBitsIndependentOfBatch) {
+  constexpr size_t kBatch = 700;
+  const size_t kSubsetSizes[] = {1, 2, 3, 5, 17, 333};
+  for (const size_t context_dim : {size_t{0}, size_t{12}}) {
+    MadeConfig config;
+    // A wide attribute forces multi-shard row blocks (see TrainAndSample).
+    config.vocab_sizes = {9, 300, 17, 40, 5};
+    config.embed_dim = 6;
+    config.hidden_dim = 40;
+    config.num_layers = 2;
+    config.context_dim = context_dim;
+    Rng rng(601 + context_dim);
+    MadeModel made(config, rng);
+    made.FinalizeForInference();
+    const IntMatrix codes = EvidenceCodes(config, kBatch, rng);
+    Matrix context(context_dim == 0 ? 0 : kBatch, context_dim);
+    for (float& v : context.vec()) v = static_cast<float>(rng.NextGaussian());
 
-void ExpectSameMatrix(const Matrix& got, const Matrix& want,
-                      const std::string& tag) {
-  ASSERT_EQ(got.rows(), want.rows()) << tag;
-  ASSERT_EQ(got.cols(), want.cols()) << tag;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got.data()[i], want.data()[i]) << tag << " element " << i;
-  }
-}
-
-struct BatchSampleReq {
-  size_t rows;
-  size_t first_attr;
-  size_t end_attr;
-  int record_attr;
-  uint64_t seed;
-};
-
-// The tentpole determinism contract, pinned over every forced coalescing
-// pattern the test hooks can produce: requests with DIFFERENT row counts,
-// attribute windows, and record attributes must come back bit-identical to
-// their solo, unbatched execution — and leave the caller's rng stream in the
-// identical state — whether they run as a batch of 1 (max_rows floor), in
-// pairs, or all stacked into one maximal minibatch.
-TEST(SampleBatcherTest, ForcedCoalescingPatternsBitIdentical) {
-  ThreadPool::SetGlobalWidth(4);
-  const MadeConfig config = BatcherModelConfig();
-  Rng model_rng(201);
-  MadeModel made(config, model_rng);
-  made.FinalizeForInference();
-
-  const std::vector<BatchSampleReq> reqs = {
-      {40, 0, 5, 3, 501},
-      {64, 1, 5, -1, 502},
-      {96, 2, 4, 3, 503},
-      {160, 0, 3, 1, 504},
-  };
-
-  // Solo unbatched baselines, one per request, each from its own rng.
-  std::vector<IntMatrix> want_codes(reqs.size());
-  std::vector<Matrix> want_recorded(reqs.size());
-  std::vector<double> want_next(reqs.size());
-  for (size_t q = 0; q < reqs.size(); ++q) {
-    const BatchSampleReq& s = reqs[q];
-    IntMatrix codes = EvidenceCodes(config, s.rows, s.seed + 1000);
-    Rng rng(s.seed);
-    Matrix recorded;
-    MadeScratch scratch;
-    made.SampleRange(&codes, Matrix(), s.first_attr, s.end_attr, rng,
-                     s.record_attr, &recorded, &scratch);
-    want_codes[q] = codes;
-    want_recorded[q] = recorded;
-    want_next[q] = rng.NextDouble();
-  }
-
-  InferenceScratchPool pool;
-  SampleBatcher batcher(&made, &pool);
-
-  auto run_batched = [&](size_t q, const std::string& tag,
-                         ExecStats* stats) {
-    const BatchSampleReq& s = reqs[q];
-    IntMatrix codes = EvidenceCodes(config, s.rows, s.seed + 1000);
-    Rng rng(s.seed);
-    Matrix recorded;
-    QueryOptions options;
-    ExecContext ctx(&options, stats);
-    Status st = batcher.SampleRange(&codes, Matrix(), s.first_attr,
-                                    s.end_attr, rng, s.record_attr, &recorded,
-                                    stats != nullptr ? &ctx : nullptr);
-    ASSERT_TRUE(st.ok()) << tag << ": " << st;
-    ExpectSameCodes(codes, want_codes[q], tag);
-    ExpectSameMatrix(recorded, want_recorded[q], tag);
-    // The pre-drawn window left the caller's stream exactly where the
-    // unbatched loop would have.
-    EXPECT_EQ(rng.NextDouble(), want_next[q]) << tag << " rng stream";
-  };
-
-  // Pattern 1: forced batch size 1 — the row cap floors at one request.
-  SampleBatcher::Config cfg;
-  cfg.enabled = true;
-  cfg.wait_us = 1000000;
-  cfg.max_rows = 1;
-  batcher.Configure(cfg);
-  for (size_t q = 0; q < reqs.size(); ++q) {
-    run_batched(q, "batch-of-1 q" + std::to_string(q), nullptr);
-  }
-  EXPECT_EQ(pool.total_leases(), reqs.size());
-
-  // Pattern 2: forced pairs — a leader collects until 2 requests queued.
-  cfg.max_rows = 4096;
-  batcher.Configure(cfg);
-  batcher.set_test_min_requests(2);
-  for (size_t pair = 0; pair < reqs.size(); pair += 2) {
-    std::thread a([&, pair] {
-      run_batched(pair, "pair q" + std::to_string(pair), nullptr);
-    });
-    std::thread b([&, pair] {
-      run_batched(pair + 1, "pair q" + std::to_string(pair + 1), nullptr);
-    });
-    a.join();
-    b.join();
-  }
-  EXPECT_EQ(pool.total_leases(), reqs.size() + 2);
-
-  // Pattern 3: maximal batch — all four requests stacked into one pass,
-  // each carrying its own stats so the coalescing counters are pinned too.
-  batcher.set_test_min_requests(reqs.size());
-  std::vector<ExecStats> stats(reqs.size());
-  {
-    std::vector<std::thread> clients;
-    for (size_t q = 0; q < reqs.size(); ++q) {
-      clients.emplace_back([&, q] {
-        run_batched(q, "max-batch q" + std::to_string(q), &stats[q]);
-      });
-    }
-    for (auto& t : clients) t.join();
-  }
-  EXPECT_EQ(pool.total_leases(), reqs.size() + 3);
-
-  size_t total_rows = 0;
-  for (const BatchSampleReq& s : reqs) total_rows += s.rows;
-  double waited = 0.0;
-  for (size_t q = 0; q < reqs.size(); ++q) {
-    // The shared batch arena is charged to every rider, so arenas_leased is
-    // independent of how requests coalesced.
-    EXPECT_EQ(stats[q].arenas_leased, 1u) << "q" << q;
-    EXPECT_EQ(stats[q].batches_joined, 1u) << "q" << q;
-    EXPECT_EQ(stats[q].coalesced_rows, total_rows) << "q" << q;
-    EXPECT_GE(stats[q].batch_wait_seconds, 0.0) << "q" << q;
-    waited += stats[q].batch_wait_seconds;
-  }
-  EXPECT_GT(waited, 0.0) << "somebody waited for batch-mates";
-
-  // Only one leader executes at a time, so the whole test needed exactly
-  // one arena — recycled across every batch, never dropped.
-  EXPECT_EQ(pool.idle(), 1u);
-  EXPECT_EQ(pool.dropped(), 0u);
-  ThreadPool::SetGlobalWidth(0);
-}
-
-// Coalesced PredictDistribution — including duplicate attrs across requests
-// and a sample request riding in the SAME batch — must be bit-identical to
-// solo execution, with per-kind counter accounting.
-TEST(SampleBatcherTest, CoalescedPredictAndMixedKindsBitIdentical) {
-  ThreadPool::SetGlobalWidth(4);
-  const MadeConfig config = BatcherModelConfig();
-  Rng model_rng(202);
-  MadeModel made(config, model_rng);
-  made.FinalizeForInference();
-
-  struct PredictReq {
-    size_t rows;
-    size_t attr;
-    uint64_t seed;
-  };
-  const std::vector<PredictReq> preds = {{32, 1, 601}, {48, 3, 602},
-                                         {16, 1, 603}};
-  std::vector<IntMatrix> pred_codes(preds.size());
-  std::vector<Matrix> want_probs(preds.size());
-  for (size_t q = 0; q < preds.size(); ++q) {
-    pred_codes[q] = EvidenceCodes(config, preds[q].rows, preds[q].seed);
-    MadeScratch scratch;
-    made.PredictDistribution(pred_codes[q], Matrix(), preds[q].attr,
-                             &want_probs[q], &scratch);
-  }
-  const BatchSampleReq samp = {24, 0, 5, 2, 604};
-  IntMatrix want_samp_codes = EvidenceCodes(config, samp.rows, samp.seed + 1000);
-  Matrix want_samp_recorded;
-  {
-    Rng rng(samp.seed);
-    MadeScratch scratch;
-    made.SampleRange(&want_samp_codes, Matrix(), samp.first_attr,
-                     samp.end_attr, rng, samp.record_attr,
-                     &want_samp_recorded, &scratch);
-  }
-
-  InferenceScratchPool pool;
-  SampleBatcher batcher(&made, &pool);
-  SampleBatcher::Config cfg;
-  cfg.enabled = true;
-  cfg.wait_us = 1000000;
-  batcher.Configure(cfg);
-  batcher.set_test_min_requests(preds.size() + 1);
-
-  std::vector<ExecStats> stats(preds.size() + 1);
-  {
-    std::vector<std::thread> clients;
-    for (size_t q = 0; q < preds.size(); ++q) {
-      clients.emplace_back([&, q] {
-        Matrix probs;
-        QueryOptions options;
-        ExecContext ctx(&options, &stats[q]);
-        Status st = batcher.PredictDistribution(pred_codes[q], Matrix(),
-                                                preds[q].attr, &probs, &ctx);
-        ASSERT_TRUE(st.ok()) << "predict q" << q << ": " << st;
-        ExpectSameMatrix(probs, want_probs[q],
-                         "predict q" + std::to_string(q));
-      });
-    }
-    clients.emplace_back([&] {
-      IntMatrix codes = EvidenceCodes(config, samp.rows, samp.seed + 1000);
-      Rng rng(samp.seed);
-      Matrix recorded;
-      QueryOptions options;
-      ExecContext ctx(&options, &stats.back());
-      Status st = batcher.SampleRange(&codes, Matrix(), samp.first_attr,
-                                      samp.end_attr, rng, samp.record_attr,
-                                      &recorded, &ctx);
-      ASSERT_TRUE(st.ok()) << "mixed sample: " << st;
-      ExpectSameCodes(codes, want_samp_codes, "mixed sample");
-      ExpectSameMatrix(recorded, want_samp_recorded, "mixed sample");
-    });
-    for (auto& t : clients) t.join();
-  }
-
-  const size_t predict_rows = 32 + 48 + 16;
-  for (size_t q = 0; q < preds.size(); ++q) {
-    EXPECT_EQ(stats[q].arenas_leased, 1u) << "predict q" << q;
-    EXPECT_EQ(stats[q].batches_joined, 1u) << "predict q" << q;
-    EXPECT_EQ(stats[q].coalesced_rows, predict_rows) << "predict q" << q;
-  }
-  // The lone sample request shared the arena but had no same-kind mate.
-  EXPECT_EQ(stats.back().arenas_leased, 1u);
-  EXPECT_EQ(stats.back().batches_joined, 0u);
-  EXPECT_EQ(stats.back().coalesced_rows, static_cast<uint64_t>(samp.rows));
-  EXPECT_EQ(pool.total_leases(), 1u);
-  ThreadPool::SetGlobalWidth(0);
-}
-
-// Cancellation × coalescing: a request that died while queued is dropped at
-// claim time with its own terminal status, its outputs untouched, WITHOUT
-// poisoning batch-mates — and without leasing an arena on its behalf.
-TEST(SampleBatcherTest, DeadRequestsDroppedWithoutPoisoningBatchMates) {
-  ThreadPool::SetGlobalWidth(4);
-  const MadeConfig config = BatcherModelConfig();
-  Rng model_rng(203);
-  MadeModel made(config, model_rng);
-  made.FinalizeForInference();
-
-  const BatchSampleReq live = {64, 0, 5, 3, 701};
-  IntMatrix want_codes = EvidenceCodes(config, live.rows, live.seed + 1000);
-  Matrix want_recorded;
-  {
-    Rng rng(live.seed);
-    MadeScratch scratch;
-    made.SampleRange(&want_codes, Matrix(), live.first_attr, live.end_attr,
-                     rng, live.record_attr, &want_recorded, &scratch);
-  }
-
-  InferenceScratchPool pool;
-  SampleBatcher batcher(&made, &pool);
-  SampleBatcher::Config cfg;
-  cfg.enabled = true;
-  cfg.wait_us = 1000000;
-  batcher.Configure(cfg);
-  batcher.set_test_min_requests(2);
-
-  auto run_live_mate = [&](const std::string& tag) {
-    IntMatrix codes = EvidenceCodes(config, live.rows, live.seed + 1000);
-    Rng rng(live.seed);
-    Matrix recorded;
-    Status st = batcher.SampleRange(&codes, Matrix(), live.first_attr,
-                                    live.end_attr, rng, live.record_attr,
-                                    &recorded, nullptr);
-    ASSERT_TRUE(st.ok()) << tag << ": " << st;
-    ExpectSameCodes(codes, want_codes, tag);
-    ExpectSameMatrix(recorded, want_recorded, tag);
-  };
-
-  // Round 1: a pre-cancelled request coalesces with a healthy one.
-  QueryOptions cancelled_options;
-  cancelled_options.cancel = CancellationToken::Cancellable();
-  cancelled_options.cancel.RequestCancel();
-  ExecStats cancelled_stats;
-  {
-    std::thread dead([&] {
-      ExecContext ctx(&cancelled_options, &cancelled_stats);
-      IntMatrix codes = EvidenceCodes(config, 32, 9001);
-      const IntMatrix before = codes;
-      Rng rng(702);
-      Matrix recorded;
-      Status st = batcher.SampleRange(&codes, Matrix(), 0, 5, rng, 3,
-                                      &recorded, &ctx);
-      EXPECT_TRUE(st.IsCancelled()) << st;
-      // Outputs untouched on a non-OK return.
-      ExpectSameCodes(codes, before, "cancelled outputs");
-      EXPECT_EQ(recorded.size(), 0u);
-    });
-    std::thread mate([&] { run_live_mate("mate of cancelled"); });
-    dead.join();
-    mate.join();
-  }
-  // The dead request never leased an arena and never joined a pass.
-  EXPECT_EQ(cancelled_stats.arenas_leased, 0u);
-  EXPECT_EQ(cancelled_stats.batches_joined, 0u);
-  EXPECT_EQ(cancelled_stats.coalesced_rows, 0u);
-  EXPECT_EQ(pool.total_leases(), 1u);
-
-  // Round 2: same story with an already-expired deadline.
-  QueryOptions expired_options;
-  expired_options.deadline =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  ExecStats expired_stats;
-  {
-    std::thread dead([&] {
-      ExecContext ctx(&expired_options, &expired_stats);
-      IntMatrix codes = EvidenceCodes(config, 32, 9002);
-      const IntMatrix before = codes;
-      Rng rng(703);
-      Matrix recorded;
-      Status st = batcher.SampleRange(&codes, Matrix(), 0, 5, rng, 3,
-                                      &recorded, &ctx);
-      EXPECT_TRUE(st.IsDeadlineExceeded()) << st;
-      ExpectSameCodes(codes, before, "expired outputs");
-      EXPECT_EQ(recorded.size(), 0u);
-    });
-    std::thread mate([&] { run_live_mate("mate of expired"); });
-    dead.join();
-    mate.join();
-  }
-  EXPECT_EQ(expired_stats.arenas_leased, 0u);
-  EXPECT_EQ(pool.total_leases(), 2u);
-  EXPECT_EQ(pool.dropped(), 0u);
-  EXPECT_EQ(pool.idle(), 1u);
-  ThreadPool::SetGlobalWidth(0);
-}
-
-// Db-level determinism: 8 clients hammering ONE hot model with batching
-// ENABLED (and a window wide enough to actually coalesce) must produce the
-// bit-identical answer of a batching-OFF Db — batched == unbatched ==
-// sequential, end to end through the query surface.
-TEST(DbConcurrencyTest, BatchedHotPathHammerBitIdenticalToUnbatched) {
-  Database incomplete = MakeIncompleteSynthetic(/*seed=*/97);
-  SchemaAnnotation annotation;
-  annotation.MarkIncomplete("table_b");
-  EngineConfig config = FastDbConfig();
-  config.enable_cache = false;  // every execution re-runs model inference
-
-  const std::string sql =
-      "SELECT COUNT(*) FROM table_a NATURAL JOIN table_b GROUP BY b;";
-
-  ThreadPool::SetGlobalWidth(4);
-
-  // Baseline: batching off (the default), executed sequentially.
-  auto off_db = Db::Open(&incomplete, annotation, DbOptions().WithEngine(config));
-  ASSERT_TRUE(off_db.ok()) << off_db.status();
-  auto baseline = (*off_db)->CreateSession().Execute(sql);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-
-  EngineConfig on_config = config;
-  on_config.model.batching_enabled = true;
-  on_config.model.batch_wait_us = 2000;  // wide window: force coalescing
-  auto db = Db::Open(&incomplete, annotation, DbOptions().WithEngine(on_config));
-  ASSERT_TRUE(db.ok()) << db.status();
-
-  // Train up front; a single-session batched run already must match.
-  Session warmup = (*db)->CreateSession();
-  auto warm = warmup.Execute(sql);
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_EQ(*warm, *baseline) << "batch-of-one must be bit-identical";
-  const size_t trained_before = (*db)->models_trained();
-
-  constexpr int kClients = 8;
-  constexpr int kItersPerClient = 4;
-  {
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        Session session = (*db)->CreateSession();
-        for (int i = 0; i < kItersPerClient; ++i) {
-          auto r = session.Execute(sql);
-          ASSERT_TRUE(r.ok()) << "client " << c << ": " << r.status();
-          EXPECT_EQ(*r, *baseline)
-              << "client " << c << " iteration " << i;
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-  }
-  ThreadPool::SetGlobalWidth(0);
-
-  EXPECT_EQ((*db)->models_trained(), trained_before)
-      << "the hammer phase must not train";
-  // Every batched execution flowed through the coalescing layer.
-  const Db::Stats stats = (*db)->stats();
-  EXPECT_GT(stats.totals.coalesced_rows, 0u);
-  EXPECT_GT(stats.totals.arenas_leased, 0u);
-  EXPECT_GE(stats.totals.batch_wait_seconds, 0.0);
-}
-
-// The cancel hammer with batching ON: cancellation racing against queued
-// and in-flight coalesced work must still yield either the bit-identical
-// answer or a clean Status::Cancelled — batch-mates of a dying request
-// included. (CI runs this binary repeatedly under TSan.)
-TEST(DbConcurrencyTest, BatchedCancelHammerYieldsAnswerOrCleanCancellation) {
-  Database incomplete = MakeIncompleteSynthetic(/*seed=*/99);
-  SchemaAnnotation annotation;
-  annotation.MarkIncomplete("table_b");
-  EngineConfig config = FastDbConfig();
-  config.enable_cache = false;  // every execution re-runs model inference
-  config.model.batching_enabled = true;
-  config.model.batch_wait_us = 500;
-
-  const std::string sql =
-      "SELECT COUNT(*) FROM table_a NATURAL JOIN table_b GROUP BY b;";
-
-  ThreadPool::SetGlobalWidth(4);
-  auto db = Db::Open(&incomplete, annotation, DbOptions().WithEngine(config));
-  ASSERT_TRUE(db.ok()) << db.status();
-
-  // Pre-train on the main thread so the hammer only exercises inference.
-  auto baseline = (*db)->CreateSession().Execute(sql);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-
-  constexpr int kClients = 4;
-  constexpr int kItersPerClient = 6;
-  std::atomic<size_t> answered{0};
-  std::atomic<size_t> cancelled{0};
-  {
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        Session session = (*db)->CreateSession();
-        for (int i = 0; i < kItersPerClient; ++i) {
-          QueryOptions options;
-          options.cancel = CancellationToken::Cancellable();
-          std::thread canceller([token = options.cancel, c, i] {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(70 * ((c + i) % 5)));
-            token.RequestCancel();
-          });
-          auto r = session.Execute(sql, options);
-          canceller.join();
-          if (r.ok()) {
-            EXPECT_EQ(*r, *baseline) << "client " << c << " iteration " << i;
-            answered.fetch_add(1);
-          } else {
-            EXPECT_TRUE(r.status().IsCancelled())
-                << "client " << c << " iteration " << i << ": "
-                << r.status();
-            cancelled.fetch_add(1);
+    for (const size_t width : {size_t{1}, size_t{4}}) {
+      ThreadPool::SetGlobalWidth(width);
+      MadeScratch scratch;
+      for (size_t attr = 0; attr < made.num_attrs(); ++attr) {
+        Matrix full;
+        made.PredictDistribution(codes, context, attr, &full, &scratch);
+        for (const size_t n : kSubsetSizes) {
+          // Distinct rows in shuffled order, so a row's tile slot in the
+          // subset generally differs from its slot in the full batch.
+          std::vector<size_t> rows(kBatch);
+          for (size_t r = 0; r < kBatch; ++r) rows[r] = r;
+          rng.Shuffle(rows);
+          rows.resize(n);
+          const IntMatrix sub_codes = codes.GatherRows(rows);
+          Matrix sub_context(context_dim == 0 ? 0 : n, context_dim);
+          for (size_t i = 0; i < sub_context.rows(); ++i) {
+            std::memcpy(sub_context.row(i), context.row(rows[i]),
+                        context_dim * sizeof(float));
+          }
+          Matrix sub;
+          made.PredictDistribution(sub_codes, sub_context, attr, &sub,
+                                   &scratch);
+          ASSERT_EQ(sub.rows(), n);
+          ASSERT_EQ(sub.cols(), full.cols());
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::memcmp(sub.row(i), full.row(rows[i]),
+                                  full.cols() * sizeof(float)),
+                      0)
+                << "context_dim " << context_dim << " width " << width
+                << " attr " << attr << " subset " << n << " row "
+                << rows[i];
           }
         }
-      });
+      }
     }
-    for (auto& t : clients) t.join();
   }
   ThreadPool::SetGlobalWidth(0);
-
-  EXPECT_EQ(answered.load() + cancelled.load(),
-            static_cast<size_t>(kClients * kItersPerClient));
-  const Db::Stats stats = (*db)->stats();
-  EXPECT_EQ(stats.queries_ok + stats.queries_cancelled,
-            static_cast<uint64_t>(kClients * kItersPerClient) + 1 /*baseline*/);
-  EXPECT_EQ(stats.queries_deadline_exceeded, 0u);
-  EXPECT_EQ(stats.queries_failed, 0u);
 }
 
 }  // namespace
