@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "restore/incompleteness_join.h"
 #include "restore/path_selection.h"
+#include "restore/snapshot_index.h"
 
 namespace restore {
 namespace bench {
@@ -54,7 +55,10 @@ int Run() {
         auto model =
             PathModel::Train(run->incomplete, run->annotation, path, config);
         if (!model.ok()) continue;
-        IncompletenessJoinExecutor exec(&run->incomplete, &run->annotation);
+        // A call-local index: its slots fill inside the timed completion,
+        // as a one-shot completion pays for them.
+        const SnapshotIndex index(run->incomplete);
+        IncompletenessJoinExecutor exec(&index, &run->annotation);
         Rng rng(1501);
         Timer timer;
         auto completion = exec.CompletePathJoin(**model, rng);

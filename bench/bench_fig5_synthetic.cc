@@ -18,6 +18,7 @@
 #include "metrics/metrics.h"
 #include "restore/incompleteness_join.h"
 #include "restore/path_model.h"
+#include "restore/snapshot_index.h"
 
 namespace restore {
 namespace bench {
@@ -62,7 +63,8 @@ Result<SyntheticEval> RunSynthetic(double predictability, double zipf,
   RESTORE_ASSIGN_OR_RETURN(
       auto model, PathModel::Train(incomplete, annotation,
                                    {"table_a", "table_b"}, model_config));
-  IncompletenessJoinExecutor exec(&incomplete, &annotation);
+  const SnapshotIndex index(incomplete);
+  IncompletenessJoinExecutor exec(&index, &annotation);
   Rng rng(seed + 4);
   RESTORE_ASSIGN_OR_RETURN(CompletionResult completion,
                            exec.CompletePathJoin(*model, rng));

@@ -1,6 +1,7 @@
 #include "bench/confidence_util.h"
 
 #include "metrics/metrics.h"
+#include "restore/snapshot_index.h"
 
 namespace restore {
 namespace bench {
@@ -12,7 +13,8 @@ Result<ConfidenceEval> EvaluateCountConfidence(
     const std::string& value, const PathModelConfig& config, uint64_t seed) {
   RESTORE_ASSIGN_OR_RETURN(
       auto model, PathModel::Train(incomplete, annotation, path, config));
-  IncompletenessJoinExecutor exec(&incomplete, &annotation);
+  const SnapshotIndex index(incomplete);
+  IncompletenessJoinExecutor exec(&index, &annotation);
   Rng rng(seed);
   CompletionOptions options;
   options.record_table = target;

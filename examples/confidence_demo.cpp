@@ -13,6 +13,7 @@
 #include "restore/confidence.h"
 #include "restore/incompleteness_join.h"
 #include "restore/path_model.h"
+#include "restore/snapshot_index.h"
 
 using namespace restore;
 
@@ -60,7 +61,8 @@ bool RunOne(double predictability) {
   }
 
   // Complete while recording the predictive distribution of b.
-  IncompletenessJoinExecutor exec(&*incomplete, &annotation);
+  const SnapshotIndex index(*incomplete);
+  IncompletenessJoinExecutor exec(&index, &annotation);
   Rng rng(54);
   CompletionOptions options;
   options.record_table = "table_b";

@@ -191,7 +191,8 @@ Db::Db(const Database* database, SchemaAnnotation annotation,
       cache_(config_.cache_budget_bytes),
       // Non-owning alias: until the first Append, the published snapshot IS
       // the caller's database — the frozen path copies nothing.
-      data_(std::shared_ptr<const Database>(), database) {}
+      data_(std::shared_ptr<const Database>(), database),
+      index_(std::make_shared<const SnapshotIndex>(data_)) {}
 
 Db::~Db() { StopRefresher(); }
 
@@ -303,6 +304,7 @@ std::shared_ptr<const Db::EpochPin> Db::PinnedEpoch(
   {
     std::lock_guard<std::mutex> lock(data_mu_);
     pin->data = data_;
+    pin->index = index_;
     pin->epoch = epoch_.load(std::memory_order_relaxed);
   }
   if (ctx != nullptr) ctx->SetPin("epoch", pin);
@@ -580,7 +582,7 @@ Result<CompletionResult> Db::CompleteViaPath(
   // function of (db, models, path) — concurrent sessions and restarted
   // processes produce bit-identical synthesized data.
   Rng rng(CompletionSeed(PathKey(path)));
-  IncompletenessJoinExecutor exec(pin->data.get(), &annotation_);
+  IncompletenessJoinExecutor exec(pin->index.get(), &annotation_);
   return exec.CompletePathJoin(*model, rng, options, ctx);
 }
 
@@ -978,9 +980,11 @@ Status Db::UpdateTable(Table replacement) {
 
 void Db::PublishData(std::shared_ptr<const Database> next,
                      const std::string& table, uint64_t delta_rows) {
+  auto index = std::make_shared<const SnapshotIndex>(next);
   {
     std::lock_guard<std::mutex> lock(data_mu_);
     data_ = std::move(next);
+    index_ = std::move(index);
     ingested_rows_by_table_[table] += delta_rows;
     epoch_.fetch_add(1, std::memory_order_release);
   }

@@ -28,6 +28,7 @@
 #include "restore/incompleteness_join.h"
 #include "restore/path_model.h"
 #include "restore/path_selection.h"
+#include "restore/snapshot_index.h"
 #include "stats/stat_test.h"
 #include "storage/database.h"
 
@@ -533,10 +534,11 @@ class Db : public std::enable_shared_from_this<Db> {
     std::vector<std::string> path;
   };
   /// Everything one query must agree on, pinned at first touch: the data
-  /// snapshot and the epoch that gates model-generation visibility and
-  /// keys completion-cache entries.
+  /// snapshot, its index, and the epoch that gates model-generation
+  /// visibility and keys completion-cache entries.
   struct EpochPin {
     std::shared_ptr<const Database> data;
+    std::shared_ptr<const SnapshotIndex> index;
     uint64_t epoch = 0;
   };
 
@@ -682,6 +684,9 @@ class Db : public std::enable_shared_from_this<Db> {
   mutable std::mutex ingest_mu_;
   mutable std::mutex data_mu_;
   std::shared_ptr<const Database> data_;
+  // Published with data_ and pinned with it: the epoch's join indexes and
+  // replacers, filled lazily and freed with the snapshot's last pin.
+  std::shared_ptr<const SnapshotIndex> index_;
   std::map<std::string, uint64_t> ingested_rows_by_table_;
   std::atomic<uint64_t> epoch_{0};
 

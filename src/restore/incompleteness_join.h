@@ -10,6 +10,7 @@
 #include "exec/exec_control.h"
 #include "restore/annotation.h"
 #include "restore/path_model.h"
+#include "restore/snapshot_index.h"
 #include "storage/database.h"
 
 namespace restore {
@@ -50,11 +51,25 @@ struct CompletionResult {
 /// tuples were synthesized for a table annotated as complete.
 class IncompletenessJoinExecutor {
  public:
-  IncompletenessJoinExecutor(const Database* db,
+  /// Completes over the snapshot that `index` indexes. Both pointers must
+  /// outlive the executor.
+  IncompletenessJoinExecutor(const SnapshotIndex* index,
                              const SchemaAnnotation* annotation)
-      : db_(db), annotation_(annotation) {}
+      : index_(index), annotation_(annotation) {}
 
   /// Walks the full path of `model`, producing the completed join.
+  ///
+  /// Every structure that depends only on the snapshot comes from the
+  /// index, built at most once per snapshot: each hop's existing-tuple join
+  /// probes the target's key index, fan-out hops read the available child
+  /// counts from it, n:1 hops read the parent keys present and the orphan
+  /// fan-in from it, the tuple-factor fallback of EncodeEvidencePrefix
+  /// reads it, and the Euclidean replacer of a complete table is cached in
+  /// it. A fan-out hop encodes and predicts tuple factors once per distinct
+  /// parent key — for the first J row holding the key, and for every
+  /// NULL-key row — and attaches that parent's synthesized children to
+  /// every J row holding the key. Each hop writes its output once: the
+  /// existing rows, then the synthesized rows.
   ///
   /// `ctx` (optional) is the owning query's execution context: it is
   /// checked at every hop and inside the model sampling loops, newly
@@ -67,10 +82,7 @@ class IncompletenessJoinExecutor {
       const ExecContext* ctx = nullptr);
 
  private:
-  /// Synthesizes the non-attribute columns of the target-table part of a
-  /// synthesized row block (keys, tuple factors), returning all target
-  /// columns qualified and ordered like the base table.
-  const Database* db_;
+  const SnapshotIndex* index_;
   const SchemaAnnotation* annotation_;
   int64_t next_synthetic_id_ = -1;
 };

@@ -29,6 +29,13 @@ class KdTree {
   /// the exact answer.
   size_t ApproxNearestNeighbor(const float* query, size_t max_leaves) const;
 
+  /// Bytes held by the points, the permutation and the nodes.
+  size_t MemoryBytes() const {
+    return points_.capacity() * sizeof(float) +
+           order_.capacity() * sizeof(size_t) +
+           nodes_.capacity() * sizeof(Node);
+  }
+
  private:
   struct Node {
     int left = -1;

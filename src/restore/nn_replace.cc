@@ -19,7 +19,6 @@ Result<EuclideanReplacer> EuclideanReplacer::Build(
   rep.attr_columns_ = attr_columns;
   rep.max_leaves_ = max_leaves;
   rep.dim_ = attr_columns.size();
-  rep.num_points_ = table.NumRows();
   rep.means_.assign(rep.dim_, 0.0);
   rep.inv_stddevs_.assign(rep.dim_, 1.0);
 
@@ -48,18 +47,24 @@ Result<EuclideanReplacer> EuclideanReplacer::Build(
       rep.inv_stddevs_[d] = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
     }
   }
-  rep.points_.assign(rep.num_points_ * rep.dim_, 0.0f);
+  // Standardized real tuples; the tree keeps the only copy.
+  std::vector<float> points(table.NumRows() * rep.dim_, 0.0f);
   for (size_t r = 0; r < table.NumRows(); ++r) {
     for (size_t d = 0; d < rep.dim_; ++d) {
       const double v = cols[d]->IsNull(r) ? rep.means_[d]
                                           : cols[d]->GetNumeric(r);
-      rep.points_[r * rep.dim_ + d] =
+      points[r * rep.dim_ + d] =
           static_cast<float>((v - rep.means_[d]) * rep.inv_stddevs_[d]);
     }
   }
-  rep.tree_ = std::make_shared<KdTree>(rep.points_, rep.num_points_,
+  rep.tree_ = std::make_shared<KdTree>(std::move(points), table.NumRows(),
                                        std::max<size_t>(1, rep.dim_));
   return rep;
+}
+
+size_t EuclideanReplacer::MemoryBytes() const {
+  return (means_.capacity() + inv_stddevs_.capacity()) * sizeof(double) +
+         tree_->MemoryBytes();
 }
 
 Result<std::vector<size_t>> EuclideanReplacer::FindReplacements(

@@ -33,14 +33,15 @@ class EuclideanReplacer {
   Result<std::vector<size_t>> FindReplacements(
       const std::vector<Column>& synthesized) const;
 
+  /// Bytes held by the standardization and the k-d tree.
+  size_t MemoryBytes() const;
+
  private:
   EuclideanReplacer() = default;
 
   std::vector<std::string> attr_columns_;
   std::vector<double> means_;
   std::vector<double> inv_stddevs_;
-  std::vector<float> points_;  // standardized real tuples
-  size_t num_points_ = 0;
   size_t dim_ = 0;
   size_t max_leaves_ = 8;
   std::shared_ptr<class KdTree> tree_;

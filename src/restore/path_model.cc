@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -9,6 +10,7 @@
 #include "common/timer.h"
 #include "exec/join.h"
 #include "nn/adam.h"
+#include "restore/snapshot_index.h"
 #include "restore/tuple_factor.h"
 
 namespace restore {
@@ -621,10 +623,10 @@ Status PathModel::RunTraining(const PathModel* warm_start) {
 
 Result<IntMatrix> PathModel::EncodeEvidencePrefix(
     const Database& db, const Table& joined, size_t upto_table,
-    const std::vector<size_t>& rows) const {
+    const std::vector<size_t>& rows, const SnapshotIndex* index) const {
+  std::optional<SnapshotIndex> local;
+  if (index == nullptr) index = &local.emplace(db);
   IntMatrix codes(rows.size(), attrs_.size());
-  // Cache of current child counts per fan-out hop (for unobserved TFs).
-  std::unordered_map<size_t, std::unordered_map<int64_t, int64_t>> counts;
 
   const size_t attr_end = table_attr_end_[upto_table];
   for (size_t a = 0; a < attrs_.size(); ++a) {
@@ -659,19 +661,11 @@ Result<IntMatrix> PathModel::EncodeEvidencePrefix(
     }
     const std::string& parent = path_[hop];
     const std::string& child = path_[hop + 1];
-    if (counts.count(hop) == 0) {
-      RESTORE_ASSIGN_OR_RETURN(ForeignKey fk, db.FindForeignKey(parent, child));
-      RESTORE_ASSIGN_OR_RETURN(std::vector<int64_t> per_parent,
-                               CountChildMatches(db, fk));
-      RESTORE_ASSIGN_OR_RETURN(const Table* ptable, db.GetTable(parent));
-      RESTORE_ASSIGN_OR_RETURN(const Column* pk,
-                               ptable->GetColumn(fk.parent_column));
-      auto& map = counts[hop];
-      for (size_t r = 0; r < ptable->NumRows(); ++r) {
-        map[pk->GetInt64(r)] = per_parent[r];
-      }
-    }
     RESTORE_ASSIGN_OR_RETURN(ForeignKey fk, db.FindForeignKey(parent, child));
+    RESTORE_ASSIGN_OR_RETURN(const KeyIndex* parent_keys,
+                             index->Keys(parent, fk.parent_column));
+    RESTORE_ASSIGN_OR_RETURN(const KeyIndex* child_keys,
+                             index->Keys(child, fk.child_column));
     RESTORE_ASSIGN_OR_RETURN(
         size_t key_ci, ResolveColumn(joined, parent + "." + fk.parent_column));
     const Column& key_col = joined.column(key_ci);
@@ -681,8 +675,12 @@ Result<IntMatrix> PathModel::EncodeEvidencePrefix(
       if (has_obs && !joined.column(ci.value()).IsNull(rows[i])) {
         tf = joined.column(ci.value()).GetInt64(rows[i]);
       } else {
-        auto it = counts[hop].find(key_col.GetInt64(rows[i]));
-        tf = it == counts[hop].end() ? 0 : it->second;
+        // Only keys of the parent table count: a parent synthesized with a
+        // known but absent key reads 0, not its stray children.
+        const int64_t key = key_col.GetInt64(rows[i]);
+        tf = parent_keys->Contains(key)
+                 ? static_cast<int64_t>(child_keys->Count(key))
+                 : 0;
       }
       codes.at(i, a) = static_cast<int32_t>(ClampTf(tf, config_.tf_cap));
     }

@@ -20,6 +20,8 @@
 
 namespace restore {
 
+class SnapshotIndex;
+
 /// Hyperparameters of a completion model (AR or SSAR) over one completion
 /// path.
 struct PathModelConfig {
@@ -157,12 +159,17 @@ class PathModel {
   /// Encodes the attributes of tables path[0..upto_table] from the rows
   /// `rows` of a joined table `joined` whose columns are qualified
   /// ("table.column"). Attributes beyond the prefix are zero-filled.
-  /// Null cells (e.g. unobserved TF) encode to the available-count fallback
-  /// where possible, else 0.
-  Result<IntMatrix> EncodeEvidencePrefix(const Database& db,
-                                         const Table& joined,
-                                         size_t upto_table,
-                                         const std::vector<size_t>& rows) const;
+  ///
+  /// An unobserved (NULL) tuple factor in the prefix encodes to its
+  /// available-count fallback: the number of child rows in `db` whose FK
+  /// holds the evidence row's parent key, or 0 when the key is NULL or not
+  /// present in the parent table. Both counts come from the key indexes of
+  /// `index`, which must index `db` (the epoch's index for Db callers);
+  /// without one the call builds a call-local index.
+  Result<IntMatrix> EncodeEvidencePrefix(
+      const Database& db, const Table& joined, size_t upto_table,
+      const std::vector<size_t>& rows,
+      const SnapshotIndex* index = nullptr) const;
 
   /// Predicts the tuple factor of hop `hop` for the given evidence rows.
   /// `codes` must contain the encoded prefix up to table `hop` (from

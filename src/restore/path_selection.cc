@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "restore/incompleteness_join.h"
+#include "restore/snapshot_index.h"
 
 namespace restore {
 
@@ -168,13 +169,14 @@ Result<size_t> SelectPath(
 
   size_t best = 0;
   double best_score = std::numeric_limits<double>::max();
+  const SnapshotIndex index(derived);
   for (size_t i = 0; i < candidates.size(); ++i) {
     // Train a cheap probe model on the derived scenario and reconstruct.
     PathModelConfig cfg = probe_config;
     cfg.use_ssar = models[i]->is_ssar();
     auto probe = PathModel::Train(derived, annotation, candidates[i], cfg);
     if (!probe.ok()) continue;
-    IncompletenessJoinExecutor exec(&derived, &annotation);
+    IncompletenessJoinExecutor exec(&index, &annotation);
     Rng crng(seed + 1);
     auto completion = exec.CompletePathJoin(**probe, crng);
     if (!completion.ok()) continue;

@@ -1,8 +1,7 @@
 #include "restore/tuple_factor.h"
 
-#include <unordered_map>
-
 #include "common/string_util.h"
+#include "exec/join.h"
 
 namespace restore {
 
@@ -33,17 +32,10 @@ Result<std::vector<int64_t>> CountChildMatches(const Database& db,
   RESTORE_ASSIGN_OR_RETURN(const Column* fkcol,
                            child->GetColumn(fk.child_column));
 
-  std::unordered_map<int64_t, int64_t> counts;
-  counts.reserve(child->NumRows());
-  for (size_t r = 0; r < child->NumRows(); ++r) {
-    const int64_t key = fkcol->GetInt64(r);
-    if (key == kNullInt64) continue;
-    ++counts[key];
-  }
-  std::vector<int64_t> out(parent->NumRows(), 0);
+  RESTORE_ASSIGN_OR_RETURN(KeyIndex children, KeyIndex::Build(*fkcol));
+  std::vector<int64_t> out(parent->NumRows());
   for (size_t r = 0; r < parent->NumRows(); ++r) {
-    auto it = counts.find(pk->GetInt64(r));
-    if (it != counts.end()) out[r] = it->second;
+    out[r] = static_cast<int64_t>(children.Count(pk->GetInt64(r)));
   }
   return out;
 }

@@ -1,5 +1,7 @@
 #include "storage/column.h"
 
+#include <cassert>
+
 #include "common/string_util.h"
 
 namespace restore {
@@ -96,12 +98,17 @@ Column Column::CloneEmpty() const {
 Column Column::Gather(const std::vector<size_t>& rows) const {
   Column out = CloneEmpty();
   out.Reserve(rows.size());
-  if (type_ == ColumnType::kDouble) {
-    for (size_t r : rows) out.doubles_.push_back(doubles_[r]);
-  } else {
-    for (size_t r : rows) out.ints_.push_back(ints_[r]);
-  }
+  out.AppendGather(*this, rows);
   return out;
+}
+
+void Column::AppendGather(const Column& src, const std::vector<size_t>& rows) {
+  assert((type_ == ColumnType::kDouble) == (src.type_ == ColumnType::kDouble));
+  if (type_ == ColumnType::kDouble) {
+    for (size_t r : rows) doubles_.push_back(src.doubles_[r]);
+  } else {
+    for (size_t r : rows) ints_.push_back(src.ints_[r]);
+  }
 }
 
 }  // namespace restore

@@ -108,6 +108,11 @@ class Column {
   /// Returns a column with the rows listed in `rows` (gather).
   Column Gather(const std::vector<size_t>& rows) const;
 
+  /// Appends the cells of `src` at `rows`, in that order. `src` must store
+  /// the same kind of cells (double vs. int64/categorical codes); codes are
+  /// copied verbatim, so categorical columns should share a dictionary.
+  void AppendGather(const Column& src, const std::vector<size_t>& rows);
+
   void Reserve(size_t n) {
     if (type_ == ColumnType::kDouble)
       doubles_.reserve(n);

@@ -95,46 +95,6 @@ Result<Table> Table::Project(
   return out;
 }
 
-Status Table::AppendTable(const Table& other) {
-  if (other.NumColumns() != NumColumns()) {
-    return Status::InvalidArgument(
-        StrFormat("schema mismatch appending '%s' (%zu cols) to '%s' (%zu)",
-                  other.name().c_str(), other.NumColumns(), name_.c_str(),
-                  NumColumns()));
-  }
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const Column& src = other.columns_[i];
-    Column& dst = columns_[i];
-    if (src.name() != dst.name() || src.type() != dst.type()) {
-      return Status::InvalidArgument(
-          StrFormat("column mismatch at %zu: '%s'/%s vs '%s'/%s", i,
-                    src.name().c_str(), ColumnTypeName(src.type()),
-                    dst.name().c_str(), ColumnTypeName(dst.type())));
-    }
-    const size_t n = src.size();
-    if (dst.type() == ColumnType::kDouble) {
-      for (size_t r = 0; r < n; ++r) dst.AppendDouble(src.GetDouble(r));
-    } else if (dst.type() == ColumnType::kInt64) {
-      for (size_t r = 0; r < n; ++r) dst.AppendInt64(src.GetInt64(r));
-    } else {
-      // Categorical: re-encode through the destination dictionary in case the
-      // two columns do not share one.
-      if (dst.dictionary() == src.dictionary()) {
-        for (size_t r = 0; r < n; ++r) dst.AppendCode(src.GetCode(r));
-      } else {
-        for (size_t r = 0; r < n; ++r) {
-          if (src.IsNull(r)) {
-            dst.AppendNull();
-          } else {
-            dst.AppendCategorical(src.dictionary()->ValueOf(src.GetCode(r)));
-          }
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
 void Table::QualifyColumnNames(const std::string& prefix) {
   for (auto& col : columns_) {
     if (col.name().find('.') == std::string::npos) {

@@ -61,9 +61,6 @@ class Table {
   /// Returns a new table with only the named columns.
   Result<Table> Project(const std::vector<std::string>& column_names) const;
 
-  /// Appends all rows of `other`; schemas must match (name, type, order).
-  Status AppendTable(const Table& other);
-
   /// Renames every column to "<prefix>.<name>" unless already qualified.
   void QualifyColumnNames(const std::string& prefix);
 

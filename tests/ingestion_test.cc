@@ -351,6 +351,66 @@ TEST(IngestionTest, CacheNeverServesAcrossGenerations) {
   EXPECT_EQ(Flatten(*r3), Flatten(*r4));
 }
 
+/// A completion serialized byte for byte: the joined table (name, column
+/// names, types and cells) and the synthesized columns and counts.
+std::string CompletionBytes(const CompletionResult& c) {
+  BinaryWriter w;
+  auto add = [&w](const Column& col) {
+    w.Str(col.name());
+    w.U32(static_cast<uint32_t>(col.type()));
+    w.U64(col.size());
+    for (size_t r = 0; r < col.size(); ++r) {
+      if (col.type() == ColumnType::kDouble) {
+        w.F64(col.GetDouble(r));
+      } else {
+        w.I64(col.GetInt64(r));
+      }
+    }
+  };
+  w.Str(c.joined.name());
+  for (const auto& col : c.joined.columns()) add(col);
+  for (const auto& [table, cols] : c.synthesized) {
+    w.Str(table);
+    for (const auto& col : cols) add(col);
+    w.U64(c.synthesized_counts.at(table));
+  }
+  w.U64(c.existing_join_rows);
+  w.U64(c.synthesized_join_rows);
+  return w.buffer();
+}
+
+TEST(IngestionTest, PinnedEpochCompletesOverItsOwnSnapshotIndex) {
+  // Each published snapshot carries its own join index. A query pinned
+  // before an append keeps completing over the old snapshot and its index;
+  // the new epoch's index must see the appended children.
+  Database incomplete = MakeIncompleteSynthetic(519);
+  auto db = Db::Open(&incomplete, Annotation(),
+                     DbOptions().WithEngine(FastConfig()));
+  ASSERT_TRUE(db.ok());
+  const std::vector<std::string> path{"table_a", "table_b"};
+  ExecContext pinned(nullptr, nullptr);
+  auto first = (*db)->CompleteViaPath(path, CompletionOptions(), &pinned);
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  // 30 children of existing parents join; a NULL-key child and an orphan
+  // of an absent parent do not.
+  std::vector<std::vector<Value>> rows = MakeRows(30, 970000, "novel");
+  rows.push_back({Value::Int64(970100), Value::Null(),
+                  Value::Categorical("novel")});
+  rows.push_back({Value::Int64(970101), Value::Int64(987654321),
+                  Value::Categorical("novel")});
+  ASSERT_TRUE((*db)->Append("table_b", rows).ok());
+  ASSERT_EQ((*db)->epoch(), 1u);
+
+  auto replay = (*db)->CompleteViaPath(path, CompletionOptions(), &pinned);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  EXPECT_EQ(CompletionBytes(*replay), CompletionBytes(*first));
+
+  auto fresh = (*db)->CompleteViaPath(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(fresh->existing_join_rows, first->existing_join_rows + 30);
+}
+
 TEST(IngestionTest, FailedFirstTrainingRetriesAfterIngest) {
   // child starts EMPTY: training fails (empty join) and the once-latch
   // caches the failure. New data is new information — after an Append into

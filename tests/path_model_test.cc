@@ -1,6 +1,7 @@
 // Tests for the PathModel (AR/SSAR completion models) and the
 // incompleteness join on small synthetic data.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -10,10 +11,12 @@
 #include "datagen/incompleteness.h"
 #include "datagen/setups.h"
 #include "datagen/synthetic.h"
+#include "exec/join.h"
 #include "metrics/metrics.h"
 #include "restore/incompleteness_join.h"
 #include "restore/path_model.h"
 #include "restore/path_selection.h"
+#include "restore/snapshot_index.h"
 
 namespace restore {
 namespace {
@@ -225,6 +228,58 @@ TEST(PathModelTest, TupleFactorPosteriorTableMatchesDirectFormula) {
   ExpectPosteriorMatchesReference(**full, complete);
 }
 
+/// An unobserved tuple factor in the evidence prefix encodes to the number
+/// of available children of the row's parent key, but only for keys the
+/// parent table holds: a parent synthesized on an n:1 hop with a known yet
+/// absent key reads 0 even when stray children reference that key.
+TEST(PathModelTest, TfFallbackCountsChildrenOnlyOfParentKeysPresent) {
+  Scenario s = MakeScenario(0.9, 0.5, 0.5);
+  auto model = PathModel::Train(s.incomplete, s.annotation,
+                                {"table_a", "table_b"}, FastConfig());
+  ASSERT_TRUE(model.ok()) << model.status();
+  const int tf_attr = (*model)->TfAttrIndex(0);
+  ASSERT_GE(tf_attr, 0);
+
+  constexpr int64_t kAbsent = 777777;
+  Database db = s.incomplete.Clone();
+  Table* children = db.GetMutableTable("table_b").value();
+  const Column& b = *children->GetColumn("b").value();
+  const std::string b0 = b.dictionary()->ValueOf(b.GetCode(0));
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(children
+                    ->AppendRow({Value::Int64(990000 + i),
+                                 Value::Int64(kAbsent),
+                                 Value::Categorical(b0)})
+                    .ok());
+  }
+  auto existing = NaturalJoinTables(db, {"table_a", "table_b"});
+  ASSERT_TRUE(existing.ok()) << existing.status();
+  // Row 0: a real parent; row 1: the same tuple under the absent key. Both
+  // leave the tuple factor unobserved.
+  Table joined = existing->GatherRows({0, 0});
+  joined.GetMutableColumn("table_a.id").value()->SetInt64(1, kAbsent);
+  Column* tf = joined.GetMutableColumn("table_a.__tf_table_b").value();
+  tf->SetInt64(0, kNullInt64);
+  tf->SetInt64(1, kNullInt64);
+  const int64_t real_key = joined.GetColumn("table_a.id").value()->GetInt64(0);
+  int64_t real_children = 0;
+  const Column& a_id = *children->GetColumn("a_id").value();
+  for (size_t r = 0; r < a_id.size(); ++r) {
+    if (a_id.GetInt64(r) == real_key) ++real_children;
+  }
+  ASSERT_GT(real_children, 0);
+
+  const SnapshotIndex index(db);
+  for (const SnapshotIndex* with : {&index, static_cast<const SnapshotIndex*>(
+                                                nullptr)}) {
+    auto codes = (*model)->EncodeEvidencePrefix(db, joined, 1, {0, 1}, with);
+    ASSERT_TRUE(codes.ok()) << codes.status();
+    EXPECT_EQ(codes->at(0, static_cast<size_t>(tf_attr)),
+              std::min<int64_t>(real_children, FastConfig().tf_cap));
+    EXPECT_EQ(codes->at(1, static_cast<size_t>(tf_attr)), 0);
+  }
+}
+
 TEST(PathModelTest, SampleTupleFactorsRejectsMismatchedSizes) {
   Scenario s = MakeScenario(0.9, 0.5, 0.4, 112);
   auto model = PathModel::Train(s.incomplete, s.annotation,
@@ -276,7 +331,8 @@ TEST(IncompletenessJoinTest, RestoresCardinality) {
   auto model = PathModel::Train(s.incomplete, s.annotation,
                                 {"table_a", "table_b"}, FastConfig());
   ASSERT_TRUE(model.ok()) << model.status();
-  IncompletenessJoinExecutor exec(&s.incomplete, &s.annotation);
+  const SnapshotIndex index(s.incomplete);
+  IncompletenessJoinExecutor exec(&index, &s.annotation);
   Rng rng(71);
   auto result = exec.CompletePathJoin(**model, rng);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -304,7 +360,8 @@ TEST(IncompletenessJoinTest, ReducesBiasWhenPredictable) {
   auto model = PathModel::Train(s.incomplete, s.annotation,
                                 {"table_a", "table_b"}, FastConfig());
   ASSERT_TRUE(model.ok()) << model.status();
-  IncompletenessJoinExecutor exec(&s.incomplete, &s.annotation);
+  const SnapshotIndex index(s.incomplete);
+  IncompletenessJoinExecutor exec(&index, &s.annotation);
   Rng rng(81);
   auto result = exec.CompletePathJoin(**model, rng);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -366,7 +423,8 @@ TEST(IncompletenessJoinTest, RecordsPredictiveDistributions) {
   auto model = PathModel::Train(s.incomplete, s.annotation,
                                 {"table_a", "table_b"}, FastConfig());
   ASSERT_TRUE(model.ok());
-  IncompletenessJoinExecutor exec(&s.incomplete, &s.annotation);
+  const SnapshotIndex index(s.incomplete);
+  IncompletenessJoinExecutor exec(&index, &s.annotation);
   Rng rng(91);
   CompletionOptions options;
   options.record_table = "table_b";
@@ -389,16 +447,18 @@ TEST(IncompletenessJoinTest, RefusesIncompleteRoot) {
   auto model = PathModel::Train(s.incomplete, s.annotation,
                                 {"table_a", "table_b"}, FastConfig());
   ASSERT_TRUE(model.ok());
-  IncompletenessJoinExecutor exec(&s.incomplete, &s.annotation);
+  const SnapshotIndex index(s.incomplete);
+  IncompletenessJoinExecutor exec(&index, &s.annotation);
   Rng rng(96);
   EXPECT_FALSE(exec.CompletePathJoin(**model, rng).ok());
 }
 
-/// CompletePathJoin predicts a fan-out hop's tuple factors once, for all
-/// rows, and takes the representative rows' codes from that pass. That is
-/// exact only if a row's encoded prefix and predicted TF depend on that row
-/// alone: encoding + predicting a subset (with repeats, as representatives
-/// of several missing children repeat) must give the same codes.
+/// CompletePathJoin predicts a fan-out hop's tuple factors only for the
+/// first row of each distinct parent key, and takes the representative
+/// rows' codes from that pass. That is exact only if a row's encoded prefix
+/// and predicted TF depend on that row alone: encoding + predicting a
+/// subset (with repeats, as representatives of several missing children
+/// repeat) must give the same codes as the all-rows pass.
 void ExpectSubsetCodesMatchAllRows(const PathModel& model,
                                    const Database& db) {
   const Table joined = RootEvidence(db, model.path()[0]);
@@ -477,7 +537,8 @@ TEST(IncompletenessJoinTest, SsarCompletesPathWhoseRootJoinsAfterFirstHop) {
   ASSERT_TRUE((*model)->is_ssar());
   ASSERT_TRUE((*model)->HopIsFanOut(0));
 
-  IncompletenessJoinExecutor exec(&*incomplete, &annotation);
+  const SnapshotIndex index(*incomplete);
+  IncompletenessJoinExecutor exec(&index, &annotation);
   Rng rng(312);
   auto result = exec.CompletePathJoin(**model, rng);
   ASSERT_TRUE(result.ok()) << result.status();

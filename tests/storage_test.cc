@@ -52,6 +52,29 @@ TEST(ColumnTest, GatherPreservesDictionary) {
   EXPECT_EQ(sub.dictionary()->ValueOf(sub.GetCode(1)), "b");
 }
 
+TEST(ColumnTest, AppendGatherAppendsAfterExistingCells) {
+  Column src("d", ColumnType::kDouble);
+  src.AppendDouble(1.5);
+  src.AppendNull();
+  src.AppendDouble(3.5);
+  Column out = src.Gather({2});
+  out.AppendGather(src, {1, 0, 0});
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_DOUBLE_EQ(out.GetDouble(0), 3.5);
+  EXPECT_TRUE(out.IsNull(1));
+  EXPECT_DOUBLE_EQ(out.GetDouble(2), 1.5);
+  EXPECT_DOUBLE_EQ(out.GetDouble(3), 1.5);
+
+  Column ints("i", ColumnType::kInt64);
+  ints.AppendInt64(7);
+  ints.AppendNull();
+  Column more = ints.CloneEmpty();
+  more.AppendGather(ints, {1, 0});
+  ASSERT_EQ(more.size(), 2u);
+  EXPECT_TRUE(more.IsNull(0));
+  EXPECT_EQ(more.GetInt64(1), 7);
+}
+
 TEST(ColumnTest, AppendValueTypeChecks) {
   Column ints("i", ColumnType::kInt64);
   EXPECT_TRUE(ints.AppendValue(Value::Int64(1)).ok());
@@ -107,15 +130,6 @@ TEST(TableTest, GatherAndProject) {
   ASSERT_TRUE(projected.ok());
   EXPECT_EQ(projected->NumColumns(), 2u);
   EXPECT_EQ(projected->column(0).name(), "city");
-}
-
-TEST(TableTest, AppendTableChecksSchema) {
-  Table a = MakePeople();
-  Table b = MakePeople();
-  ASSERT_TRUE(a.AppendTable(b).ok());
-  EXPECT_EQ(a.NumRows(), 6u);
-  Table c("other", {{"id", ColumnType::kInt64}});
-  EXPECT_FALSE(a.AppendTable(c).ok());
 }
 
 TEST(TableTest, QualifyColumnNamesIsIdempotent) {

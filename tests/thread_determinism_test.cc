@@ -416,6 +416,69 @@ TEST(DbConcurrencyTest, SingleHotPathHammerBitIdenticalWithoutMutex) {
   }
 }
 
+// Publishing an epoch publishes an empty snapshot index. Four clients that
+// make the first touch of a fresh epoch at once race on every slot's
+// latch; each must read the one build, so every answer equals a 1-thread
+// run on a twin Db byte for byte.
+TEST(DbConcurrencyTest, ConcurrentFirstTouchOfFreshEpochMatchesOneThread) {
+  Database incomplete = MakeIncompleteSynthetic(/*seed=*/93);
+  SchemaAnnotation annotation;
+  annotation.MarkIncomplete("table_b");
+  EngineConfig config = FastDbConfig();
+  config.enable_cache = false;  // every execution re-runs the completion
+  const std::string sql =
+      "SELECT COUNT(*) FROM table_a NATURAL JOIN table_b GROUP BY b;";
+  const std::string b0 = incomplete.GetTable("table_b").value()
+                             ->GetColumn("b").value()->dictionary()
+                             ->ValueOf(0);
+  std::vector<std::vector<Value>> appended;
+  for (int64_t i = 0; i < 20; ++i) {
+    appended.push_back({Value::Int64(880000 + i), Value::Int64(i % 40),
+                        Value::Categorical(b0)});
+  }
+
+  // Trains at epoch 0, then publishes epoch 1 with a fresh index.
+  auto open_and_append = [&]() -> std::shared_ptr<Db> {
+    auto db = Db::Open(&incomplete, annotation, DbOptions().WithEngine(config));
+    EXPECT_TRUE(db.ok()) << db.status();
+    EXPECT_TRUE((*db)->CreateSession().Execute(sql).ok());
+    EXPECT_TRUE((*db)->Append("table_b", appended).ok());
+    return *db;
+  };
+
+  ThreadPool::SetGlobalWidth(1);
+  std::shared_ptr<Db> twin = open_and_append();
+  auto baseline = twin->CreateSession().Execute(sql);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+
+  ThreadPool::SetGlobalWidth(4);
+  std::shared_ptr<Db> db = open_and_append();
+  constexpr int kClients = 4;
+  std::vector<Result<ResultSet>> answers(kClients,
+                                         Status::Internal("not run"));
+  std::atomic<int> ready{0};
+  {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        Session session = db->CreateSession();
+        ready.fetch_add(1);
+        while (ready.load() < kClients) {
+        }
+        answers[c] = session.Execute(sql);
+      });
+    }
+    for (auto& t : clients) t.join();
+  }
+  ThreadPool::SetGlobalWidth(0);
+
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(answers[c].ok()) << "client " << c << ": "
+                                 << answers[c].status();
+    EXPECT_EQ(*answers[c], *baseline) << "client " << c;
+  }
+}
+
 // An UNCANCELLED run under full QueryOptions (cancellable token, far
 // deadline, generous budget) must be bit-identical to a run with no options
 // at all: the cooperative checks may not touch the sampling RNG.
