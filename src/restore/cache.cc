@@ -1,38 +1,22 @@
 #include "restore/cache.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
-
-#include "common/serialize.h"
 
 namespace restore {
 
-CompletionCache::CompletionCache(size_t budget_bytes, size_t num_shards)
-    : budget_bytes_(budget_bytes),
-      shard_budget_(budget_bytes == 0
-                        ? 0
-                        : std::max<size_t>(1, budget_bytes / num_shards)),
-      shards_(num_shards == 0 ? 1 : num_shards) {}
+namespace {
 
-std::string CompletionCache::Key(const std::set<std::string>& tables,
-                                 uint64_t epoch) {
-  std::string key;
-  for (const auto& t : tables) {
-    key += t;
-    key += '|';
-  }
-  if (epoch != 0) {
-    key += '#';
-    key += std::to_string(epoch);
-  }
-  return key;
+// The sorted "t1|t2|...|" string of a table set, which orders covering
+// entries of equal size. Its order differs from std::set's when one name
+// prefixes another: '_' < '|', so "h1_z|" < "h1|".
+std::string JoinedNames(const std::set<std::string>& tables) {
+  std::string joined;
+  for (const auto& t : tables) (joined += t) += '|';
+  return joined;
 }
 
-CompletionCache::Shard& CompletionCache::ShardFor(
-    const std::string& key) const {
-  return shards_[Fnv1a64(key.data(), key.size()) % shards_.size()];
-}
+}  // namespace
 
 size_t CompletionCache::ApproxTableBytes(const Table& table) {
   size_t bytes = sizeof(Table);
@@ -44,196 +28,77 @@ size_t CompletionCache::ApproxTableBytes(const Table& table) {
   return bytes;
 }
 
-void CompletionCache::IndexAdd(const std::set<std::string>& tables,
-                               const std::string& key) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  for (const auto& t : tables) keys_by_table_[t].insert(key);
-}
-
-void CompletionCache::IndexRemove(const std::set<std::string>& tables,
-                                  const std::string& key) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  for (const auto& t : tables) {
-    auto it = keys_by_table_.find(t);
-    if (it == keys_by_table_.end()) continue;
-    it->second.erase(key);
-    if (it->second.empty()) keys_by_table_.erase(it);
-  }
-}
-
-void CompletionCache::EvictLocked(Shard* shard, const std::string& keep) {
-  if (shard_budget_ == 0) return;
-  while (shard->bytes > shard_budget_ && shard->entries.size() > 1) {
-    auto victim = shard->entries.end();
-    uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (auto it = shard->entries.begin(); it != shard->entries.end(); ++it) {
-      if (it->first == keep) continue;
-      if (it->second.last_used < oldest) {
-        oldest = it->second.last_used;
-        victim = it;
-      }
-    }
-    if (victim == shard->entries.end()) break;
-    IndexRemove(victim->second.tables, victim->first);
-    shard->bytes -= victim->second.bytes;
-    shard->entries.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void CompletionCache::Put(const std::set<std::string>& tables,
                           std::shared_ptr<const Table> joined,
                           uint64_t epoch) {
-  const std::string key = Key(tables, epoch);
-  Entry entry;
-  entry.tables = tables;
-  entry.bytes = ApproxTableBytes(*joined);
-  // An entry that alone exceeds the shard budget is not worth caching —
-  // rejecting it up front (rather than inserting and evicting back down)
-  // keeps it from flushing every other entry of its shard first.
-  if (shard_budget_ != 0 && entry.bytes > shard_budget_) return;
-  entry.joined = std::move(joined);
-  entry.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
-
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    shard.bytes -= it->second.bytes;
-    shard.entries.erase(it);  // same key = same table set; index entry stays
-  } else {
-    IndexAdd(tables, key);
+  const size_t bytes = ApproxTableBytes(*joined);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (epoch < epoch_) return;  // computed over a snapshot no longer current
+  if (epoch > epoch_) {
+    // The Db's epoch only moves forward: no later query can reach the held
+    // entries.
+    entries_.clear();
+    bytes_ = 0;
+    epoch_ = epoch;
   }
-  shard.bytes += entry.bytes;
-  shard.entries.emplace(key, std::move(entry));
-  EvictLocked(&shard, key);
+  // An entry that alone exceeds the budget is not worth caching — rejecting
+  // it up front keeps it from flushing every other entry first.
+  if (budget_bytes_ != 0 && bytes > budget_bytes_) return;
+
+  auto same = std::find_if(entries_.begin(), entries_.end(),
+                           [&](const Entry& e) { return e.tables == tables; });
+  if (same != entries_.end()) {
+    bytes_ -= same->bytes;
+    entries_.erase(same);
+  }
+  while (budget_bytes_ != 0 && bytes_ + bytes > budget_bytes_ &&
+         !entries_.empty()) {
+    auto victim = std::min_element(entries_.begin(), entries_.end(),
+                                   [](const Entry& a, const Entry& b) {
+                                     return a.last_used < b.last_used;
+                                   });
+    bytes_ -= victim->bytes;
+    entries_.erase(victim);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  entries_.push_back(Entry{tables, std::move(joined), bytes, ++clock_});
+  bytes_ += bytes;
 }
 
-std::shared_ptr<const Table> CompletionCache::GetExact(
-    const std::set<std::string>& tables, uint64_t epoch) const {
-  const std::string key = Key(tables, epoch);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
+std::shared_ptr<const Table> CompletionCache::Lookup(
+    const std::set<std::string>& tables, uint64_t epoch, bool exact) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry* best = nullptr;
+  for (Entry& e : entries_) {
+    const bool match =
+        epoch == epoch_ &&
+        (exact ? e.tables == tables
+               : std::includes(e.tables.begin(), e.tables.end(),
+                               tables.begin(), tables.end()));
+    if (!match) continue;
+    if (best == nullptr || e.tables.size() < best->tables.size() ||
+        (e.tables.size() == best->tables.size() &&
+         JoinedNames(e.tables) < JoinedNames(best->tables))) {
+      best = &e;
+    }
+  }
+  if (best == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  it->second.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
+  best->last_used = ++clock_;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.joined;
-}
-
-std::shared_ptr<const Table> CompletionCache::GetCovering(
-    const std::set<std::string>& tables, uint64_t epoch) const {
-  // Candidate keys come from the per-table index: every covering entry must
-  // contain each query table, so the query table with the fewest cached
-  // entries bounds the scan. The snapshot is taken under index_mu_ alone
-  // (never nested inside a shard mutex — see the lock-order note in the
-  // header), then candidates are verified and fetched shard by shard.
-  std::vector<std::string> candidates;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    if (tables.empty()) {
-      // Degenerate query: everything covers it; consider all keys.
-      for (const auto& [t, keys] : keys_by_table_) {
-        (void)t;
-        candidates.insert(candidates.end(), keys.begin(), keys.end());
-      }
-    } else {
-      const std::set<std::string>* anchor = nullptr;
-      for (const auto& t : tables) {
-        auto it = keys_by_table_.find(t);
-        if (it == keys_by_table_.end()) {
-          misses_.fetch_add(1, std::memory_order_relaxed);
-          return nullptr;  // some query table is in no cached entry
-        }
-        if (anchor == nullptr || it->second.size() < anchor->size()) {
-          anchor = &it->second;
-        }
-      }
-      candidates.assign(anchor->begin(), anchor->end());
-    }
-  }
-
-  // A key IS its sorted table list plus epoch suffix ("t1|t2|...|#7"):
-  // epoch match, coverage, and entry size are checked on the key alone,
-  // without touching any shard. Keys of other epochs are skipped — stale
-  // generations must never serve a fresh query.
-  const std::string suffix = epoch != 0 ? "#" + std::to_string(epoch) : "";
-  std::vector<std::pair<size_t, std::string>> covering;  // (num_tables, key)
-  for (auto& key : candidates) {
-    if (key.size() <= suffix.size()) continue;
-    const size_t parse_end = key.size() - suffix.size();
-    if (key.compare(parse_end, suffix.size(), suffix) != 0) continue;
-    // Epoch-0 keys end at their last '|'; a '#' before parse_end would mean
-    // the key carries some other epoch.
-    if (key[parse_end - 1] != '|') continue;
-    size_t num_tables = 0;
-    bool covers = true;
-    auto query_it = tables.begin();
-    size_t start = 0;
-    for (size_t i = 0; i < parse_end; ++i) {
-      if (key[i] != '|') continue;
-      ++num_tables;
-      if (query_it != tables.end() &&
-          key.compare(start, i - start, *query_it) == 0) {
-        ++query_it;  // both sides are sorted: one linear merge pass
-      }
-      start = i + 1;
-    }
-    covers = query_it == tables.end();
-    if (covers) covering.emplace_back(num_tables, std::move(key));
-  }
-  std::sort(covering.begin(), covering.end());
-
-  // Smallest covering entry first; an entry evicted since the snapshot is
-  // simply skipped in favour of the next candidate.
-  for (const auto& [num_tables, key] : covering) {
-    (void)num_tables;
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) continue;
-    it->second.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.joined;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  return best->joined;
 }
 
 size_t CompletionCache::size() const {
-  size_t n = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.entries.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 size_t CompletionCache::bytes() const {
-  size_t n = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.bytes;
-  }
-  return n;
-}
-
-void CompletionCache::Clear() {
-  // Unindex each shard's entries under that shard's mutex (the same
-  // shard -> index nesting Put/evict use). A global keys_by_table_.clear()
-  // after the shard loop would race with a concurrent Put into an
-  // already-cleared shard, stranding its entry outside the index forever.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      IndexRemove(entry.tables, key);
-    }
-    shard.entries.clear();
-    shard.bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 }  // namespace restore

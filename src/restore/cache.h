@@ -2,7 +2,6 @@
 #define RESTORE_RESTORE_CACHE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -17,30 +16,27 @@ namespace restore {
 /// reused by later queries over the same join path, and queries over a
 /// sub-path reuse a superset join by projection.
 ///
-/// Thread safety: all operations are safe under concurrent access. Entries
-/// are hash-sharded with one mutex per shard so unrelated lookups do not
-/// contend; hit/miss counters are atomics (the old implementation mutated
-/// `mutable` non-atomic counters from const lookups — a data race under the
-/// concurrent Db facade).
+/// Epochs: each entry belongs to one data/model generation (epoch) of the
+/// owning Db, and the cache holds only the newest epoch it was given. A Put
+/// at a newer epoch first drops every held entry (not an eviction), a Put at
+/// an older epoch is not stored, and lookups at any other epoch miss, so a
+/// query pinned at an older epoch completes over its own snapshot uncached.
 ///
 /// Budget: `budget_bytes` bounds the total approximate payload size. On
-/// overflow the least-recently-used entries of the shard are evicted; an
-/// entry larger than a shard's budget is not cached at all. 0 = unbounded.
-/// Lookups return shared_ptr handles, so a result stays valid even if its
-/// entry is evicted while the caller still aggregates over it.
+/// overflow the least-recently-used entries are evicted; an entry larger
+/// than the whole budget is not cached at all. 0 = unbounded.
+///
+/// Thread safety: one mutex guards the entries, which are few (one per join
+/// path queried in the held epoch) and scanned linearly. Lookups return
+/// shared_ptr handles, so a result stays valid even if its entry is evicted
+/// or dropped while the caller still aggregates over it.
 class CompletionCache {
  public:
-  explicit CompletionCache(size_t budget_bytes = 0, size_t num_shards = 8);
+  explicit CompletionCache(size_t budget_bytes = 0)
+      : budget_bytes_(budget_bytes) {}
 
-  CompletionCache(const CompletionCache&) = delete;
-  CompletionCache& operator=(const CompletionCache&) = delete;
-
-  /// Stores a completed join covering exactly `tables`. `epoch` keys the
-  /// entry to one data/model generation of the owning Db: lookups only see
-  /// entries of their own epoch, so a hot swap (ingestion or model refresh)
-  /// invalidates every stale completion simply by bumping the epoch — old
-  /// entries become unreachable and age out through the LRU budget. The
-  /// default epoch 0 reproduces the frozen-database behavior bit for bit.
+  /// Stores a completed join covering exactly `tables`, computed at `epoch`,
+  /// in place of any held join over the same tables.
   void Put(const std::set<std::string>& tables,
            std::shared_ptr<const Table> joined, uint64_t epoch = 0);
   void Put(const std::set<std::string>& tables, Table joined,
@@ -51,26 +47,28 @@ class CompletionCache {
   /// Exact hit: a completed join over exactly `tables` at `epoch`, or
   /// nullptr.
   std::shared_ptr<const Table> GetExact(const std::set<std::string>& tables,
-                                        uint64_t epoch = 0) const;
+                                        uint64_t epoch = 0) const {
+    return Lookup(tables, epoch, /*exact=*/true);
+  }
 
-  /// Superset hit: the smallest cached join of `epoch` whose table set is a
-  /// superset of `tables` (its projection serves the query), or nullptr.
-  /// Served from a per-table index of entry keys: only entries containing
-  /// the rarest query table are examined — O(candidates in that table), not
-  /// O(all entries).
+  /// Superset hit: the cached join of `epoch` with the fewest tables whose
+  /// table set is a superset of `tables` (its projection serves the query),
+  /// or nullptr. Ties go to the smaller sorted "t1|t2|...|" string.
   std::shared_ptr<const Table> GetCovering(const std::set<std::string>& tables,
-                                           uint64_t epoch = 0) const;
+                                           uint64_t epoch = 0) const {
+    return Lookup(tables, epoch, /*exact=*/false);
+  }
 
   size_t size() const;
   /// Approximate bytes of all cached payloads.
   size_t bytes() const;
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// Entries evicted to stay within the budget (dropped epochs not counted).
   size_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
   size_t budget_bytes() const { return budget_bytes_; }
-  void Clear();
 
   /// Approximate in-memory payload size of a table (column vectors only).
   static size_t ApproxTableBytes(const Table& table);
@@ -82,42 +80,20 @@ class CompletionCache {
     size_t bytes = 0;
     uint64_t last_used = 0;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, Entry> entries;
-    size_t bytes = 0;
-  };
 
-  /// Entry key: the sorted table list "t1|t2|...|", plus "#<epoch>" when
-  /// epoch != 0 (epoch 0 keeps the historical key so frozen databases hash
-  /// to the same shards as before). GetCovering's key parser relies on this
-  /// shape: table names up to the last '|', epoch suffix after it.
-  static std::string Key(const std::set<std::string>& tables, uint64_t epoch);
-  Shard& ShardFor(const std::string& key) const;
-  /// Evicts LRU entries of `shard` until it fits its budget slice.
-  /// `keep` is never evicted. Caller holds the shard mutex; evicted entries
-  /// are also removed from the per-table index.
-  void EvictLocked(Shard* shard, const std::string& keep);
-
-  /// Per-table index maintenance. Lock order: a shard mutex may be held
-  /// while taking index_mu_ (Put/evict); index_mu_ is NEVER held while
-  /// taking a shard mutex (GetCovering snapshots candidates, releases, then
-  /// probes shards), so the two can't deadlock.
-  void IndexAdd(const std::set<std::string>& tables, const std::string& key);
-  void IndexRemove(const std::set<std::string>& tables,
-                   const std::string& key);
+  std::shared_ptr<const Table> Lookup(const std::set<std::string>& tables,
+                                      uint64_t epoch, bool exact) const;
 
   const size_t budget_bytes_;
-  const size_t shard_budget_;
-  mutable std::vector<Shard> shards_;
-  mutable std::atomic<uint64_t> clock_{0};
+  mutable std::mutex mu_;
+  // Guarded by mu_: the held epoch, its entries, their bytes, the LRU clock.
+  uint64_t epoch_ = 0;
+  mutable std::vector<Entry> entries_;
+  size_t bytes_ = 0;
+  mutable uint64_t clock_ = 0;
   mutable std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> misses_{0};
-  mutable std::atomic<size_t> evictions_{0};
-
-  // table name -> keys of the entries whose table set contains it.
-  mutable std::mutex index_mu_;
-  std::map<std::string, std::set<std::string>> keys_by_table_;
+  std::atomic<size_t> evictions_{0};
 };
 
 }  // namespace restore

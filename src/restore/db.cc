@@ -24,13 +24,11 @@ namespace restore {
 namespace {
 
 // Model-persistence framing (see common/serialize.h). Bump the version of
-// whichever payload layout changes; readers reject other versions.
-// Manifest v2 prepended the engine-config fingerprint (v1 had none); v3 adds
-// per-model generation metadata (generation number, rows at training time,
-// training seconds) for the generational model_dir layout; v4 appends each
-// model's training-time drift reference summaries (per-column bounded
-// histograms). Older manifests still load — a v3 model simply reports drift
-// as unavailable, it never fails the open.
+// whichever payload layout changes; readers reject other versions. The
+// manifest (v4) holds the engine-config fingerprint, then per model its
+// generation metadata (generation number, rows at training time, training
+// seconds) and training-time drift reference summaries (per-column bounded
+// histograms). Older manifests are rejected at open.
 // kManifestMagic / kManifestVersion are exported from db.h (tests derive
 // their parsing bounds from them); the rest stays private to this file.
 constexpr uint32_t kModelMagic = 0x4f545352;     // "RSTO"
@@ -647,11 +645,11 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
       ++stats->cache_misses;
     }
   };
-  // Cache entries are keyed by the pinned epoch: a hot swap (ingest or
-  // model refresh) bumps the Db epoch, making every pre-swap completion
-  // unreachable to post-swap queries — and entries a pinned in-flight query
-  // writes under its OLD epoch are equally unreachable. Epoch 0 (frozen Db)
-  // keeps the historical keys bit for bit.
+  // Cache lookups and writes carry the pinned epoch. The cache holds only
+  // the newest epoch it has seen: after a hot swap (ingest or model refresh)
+  // the first post-swap write drops every pre-swap completion, and a query
+  // still pinned at an older epoch misses and stores nothing. A frozen Db
+  // stays at epoch 0.
   const std::shared_ptr<const EpochPin> pin = PinnedEpoch(ctx);
   const uint64_t epoch = pin->epoch;
   const Database& snapshot = *pin->data;
@@ -1593,6 +1591,12 @@ Status Db::LoadGenerationInto(
       std::string payload,
       ReadChecksummedFile(gen_dir + "/" + kManifestName, kManifestMagic,
                           kManifestVersion, &version));
+  if (version != kManifestVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "'%s/%s' has manifest version %u, but only version %u loads — "
+        "retrain and save the models again",
+        gen_dir.c_str(), kManifestName, version, kManifestVersion));
+  }
   BinaryReader manifest(std::move(payload));
   const uint64_t fingerprint = manifest.U64();
   const uint64_t expected = EngineConfigFingerprint(config_);
@@ -1610,24 +1614,17 @@ Status Db::LoadGenerationInto(
   for (uint64_t i = 0; i < num_models; ++i) {
     const std::string key = manifest.Str();
     const std::string filename = manifest.Str();
-    uint64_t generation = 1;
-    uint64_t trained_rows = 0;
-    double train_seconds = 0.0;
+    const uint64_t generation = manifest.U64();
+    const uint64_t trained_rows = manifest.U64();
+    const double train_seconds = manifest.F64();
+    const uint64_t num_summaries = manifest.U64();
+    RESTORE_RETURN_IF_ERROR(manifest.status());
     std::vector<ColumnSummary> drift_ref;
-    if (version >= 3) {
-      generation = manifest.U64();
-      trained_rows = manifest.U64();
-      train_seconds = manifest.F64();
-    }
-    if (version >= 4) {
-      const uint64_t num_summaries = manifest.U64();
-      RESTORE_RETURN_IF_ERROR(manifest.status());
-      drift_ref.reserve(num_summaries);
-      for (uint64_t s = 0; s < num_summaries; ++s) {
-        RESTORE_ASSIGN_OR_RETURN(ColumnSummary summary,
-                                 ColumnSummary::Load(&manifest));
-        drift_ref.push_back(std::move(summary));
-      }
+    drift_ref.reserve(num_summaries);
+    for (uint64_t s = 0; s < num_summaries; ++s) {
+      RESTORE_ASSIGN_OR_RETURN(ColumnSummary summary,
+                               ColumnSummary::Load(&manifest));
+      drift_ref.push_back(std::move(summary));
     }
     RESTORE_RETURN_IF_ERROR(manifest.status());
     RESTORE_ASSIGN_OR_RETURN(
@@ -1660,13 +1657,9 @@ Status Db::LoadGenerationInto(
     entry->drift_ref = std::move(drift_ref);
     entry->loaded_from_disk = true;
     // Staleness the snapshot was already carrying: rows that exist now but
-    // did not when the model was trained. Unknowable for pre-generational
-    // manifests (trained_rows 0), which start fresh.
-    if (trained_rows > 0) {
-      const uint64_t now_rows = TotalPathRows(*database_, entry->path);
-      entry->stale_base = now_rows > trained_rows ? now_rows - trained_rows
-                                                  : 0;
-    }
+    // did not when the model was trained.
+    const uint64_t now_rows = TotalPathRows(*database_, entry->path);
+    entry->stale_base = now_rows > trained_rows ? now_rows - trained_rows : 0;
     entry->latch.SetDone(Status::OK());
     (*entries)[key] = std::move(entry);
   }
@@ -1735,14 +1728,9 @@ Status Db::LoadModels(const std::string& dir, uint64_t generation_override) {
     if (first_error.ok()) first_error = s;
   }
   if (!order.empty()) return first_error;
-
-  // No generational snapshot at all: fall back to the legacy flat layout
-  // (pre-generational manifest right in `dir`), loaded as generation 1.
-  std::map<std::string, std::shared_ptr<ModelEntry>> entries;
-  std::map<std::string, std::vector<std::string>> selections;
-  RESTORE_RETURN_IF_ERROR(LoadGenerationInto(dir, &entries, &selections));
-  commit(&entries, &selections);
-  return Status::OK();
+  return Status::NotFound(
+      StrFormat("model directory '%s' holds no saved generation (gen-*)",
+                dir.c_str()));
 }
 
 // ---- Session / PreparedQuery -----------------------------------------------

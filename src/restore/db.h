@@ -47,7 +47,8 @@ struct EngineConfig {
   size_t max_candidates = 4;
   /// Reuse completed joins across queries (Section 4.5).
   bool enable_cache = true;
-  /// LRU byte budget of the completion cache; 0 = unbounded.
+  /// LRU byte budget of the whole completion cache; 0 = unbounded. The
+  /// cache holds one epoch's joins, so ingests never pile dead ones up.
   size_t cache_budget_bytes = 0;
   uint64_t seed = 1234;
 };
@@ -209,8 +210,7 @@ struct ModelInfo {
   /// 1 for the first training of a path; +1 per completed refresh.
   uint64_t generation = 0;
   /// Total rows of the path's tables in the data snapshot the model was
-  /// trained on (0 when unknown — models restored from a pre-generational
-  /// manifest).
+  /// trained on.
   uint64_t trained_rows = 0;
   /// Total rows of the path's tables right now.
   uint64_t current_rows = 0;
@@ -224,8 +224,8 @@ struct ModelInfo {
   /// by this process.
   bool loaded_from_disk = false;
   /// Drift of the live snapshot against this generation's training-time
-  /// reference summaries. Unavailable (false, scores 0) for models restored
-  /// from a pre-v4 manifest — those never fire the drift trigger.
+  /// reference summaries. Unavailable (false, scores 0) for a model without
+  /// reference summaries — such a model never fires the drift trigger.
   bool drift_available = false;
   /// Worst per-column two-sample KS statistic.
   double drift_ks = 0.0;
@@ -319,9 +319,10 @@ class Db : public std::enable_shared_from_this<Db> {
   /// current snapshot, validates and applies every row, and publishes the
   /// new snapshot atomically — in-flight readers keep the old one and are
   /// never blocked; a validation failure publishes nothing. Completion-cache
-  /// entries of the old epoch become unreachable, per-path staleness
-  /// advances, and stale models are scheduled for background refresh per
-  /// the RefreshPolicy. Serialized against other writers.
+  /// entries of the old epoch stop serving (the next cache write drops
+  /// them), per-path staleness advances, and stale models are scheduled for
+  /// background refresh per the RefreshPolicy. Serialized against other
+  /// writers.
   Status Append(const std::string& table,
                 const std::vector<std::vector<Value>>& rows);
 
@@ -349,7 +350,7 @@ class Db : public std::enable_shared_from_this<Db> {
   /// stats/equivalence.h): replaces every trained model with a copy whose
   /// parameters carry seeded Gaussian noise of standard deviation `stddev`,
   /// published like a hot swap (the epoch bumps, so completion-cache
-  /// entries of the intact models become unreachable). The harness proves
+  /// entries of the intact models stop serving). The harness proves
   /// its gate has teeth against exactly this deliberately broken Db.
   /// Never called by any serving path.
   Status PerturbModelsForTest(float stddev, uint64_t seed);
@@ -518,8 +519,8 @@ class Db : public std::enable_shared_from_this<Db> {
     bool loaded_from_disk = false;
     /// Per-column reference summaries of the training snapshot (bounded
     /// histograms, not raw rows), captured under the latch — immutable
-    /// after — and persisted in manifest v4. Empty for models restored from
-    /// a pre-v4 manifest: drift reads as unavailable rather than failing.
+    /// after — and persisted in the manifest. When empty, drift reads as
+    /// unavailable rather than failing.
     std::vector<ColumnSummary> drift_ref;
     std::atomic<bool> refreshing{false};
     /// Previous generation. Guarded by registry_mu_ (see struct comment).
@@ -535,7 +536,7 @@ class Db : public std::enable_shared_from_this<Db> {
   };
   /// Everything one query must agree on, pinned at first touch: the data
   /// snapshot, its index, and the epoch that gates model-generation
-  /// visibility and keys completion-cache entries.
+  /// visibility and tags completion-cache lookups and writes.
   struct EpochPin {
     std::shared_ptr<const Database> data;
     std::shared_ptr<const SnapshotIndex> index;

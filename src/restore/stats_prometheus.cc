@@ -181,8 +181,8 @@ void PrometheusRenderer::AddDbFreshness(const std::string& labels,
           "1 when the path's circuit breaker is open (retrains fail fast; "
           "the last good generation keeps serving).",
           path_labels, info.breaker_open ? 1.0 : 0.0);
-    // Models restored from a pre-v4 manifest have no training reference to
-    // score against — they emit no drift samples rather than a fake zero.
+    // A model without a training reference has nothing to score against —
+    // it emits no drift samples rather than a fake zero.
     if (info.drift_available) {
       Gauge("restore_model_drift",
             "Distribution drift of a path's current data against its "

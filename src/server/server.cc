@@ -653,12 +653,6 @@ void HttpServer::Stop() {
   running_ = false;
 }
 
-EventLoop* HttpServer::NextLoop() {
-  const size_t i =
-      next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  return loops_[i].get();
-}
-
 void HttpServer::AdoptConnection(int fd) {
   const size_t index =
       next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
@@ -786,46 +780,10 @@ void HttpServer::Dispatch(std::shared_ptr<Connection> conn) {
 
     // Ingestion shares the query admission bounds: it occupies a worker and
     // serializes on the writer lock, so unbounded ingest bursts would starve
-    // queries exactly like unbounded queries would. In queue mode admission
-    // moves to the worker (AcquireQueued blocks; event threads never do),
-    // so both slots stay empty here and the worker fills them.
-    const bool queue_mode = config_.admission_queue_depth > 0;
-    AdmissionSlot global_slot;
-    AdmissionSlot tenant_slot;
-    if (!queue_mode) {
-      if (!query_admission_.TryAcquire()) {
-        conn->SendResponse(
-            ErrorResponse(Status::ResourceExhausted(
-                              "server query capacity exhausted"),
-                          keep_alive),
-            keep_alive);
-        return;
-      }
-      global_slot = AdmissionSlot(&query_admission_);
-    }
-    std::shared_ptr<Tenant> tenant = tenants_->Resolve(tenant_name);
-    if (tenant == nullptr) {
-      conn->SendResponse(
-          BuildResponse(404, "application/json",
-                        ErrorBody("NotFound",
-                                  "unknown tenant: '" + tenant_name + "'"),
-                        keep_alive),
-          keep_alive);
-      return;
-    }
-    if (!queue_mode) {
-      if (!tenant->admission().TryAcquire()) {
-        tenant_shed_.fetch_add(1, std::memory_order_relaxed);
-        conn->SendResponse(
-            ErrorResponse(Status::ResourceExhausted(
-                              "tenant '" + tenant->name() +
-                              "' query quota exhausted"),
-                          keep_alive),
-            keep_alive);
-        return;
-      }
-      tenant_slot = AdmissionSlot(&tenant->admission());
-    }
+    // queries exactly like unbounded queries would.
+    Slots slots;
+    std::shared_ptr<Tenant> tenant = Admit(conn, tenant_name, &slots);
+    if (tenant == nullptr) return;
 
     // No cancellation bridge for ingestion: once admitted, an append either
     // fully publishes or fully fails — a disconnect must not abort it
@@ -834,7 +792,7 @@ void HttpServer::Dispatch(std::shared_ptr<Connection> conn) {
     conn->state = Connection::State::kProcessing;
     conn->UpdateEvents(EPOLLRDHUP);
     SubmitIngest(std::move(conn), std::move(tenant), std::move(table),
-                 req.body, std::move(global_slot), std::move(tenant_slot));
+                 req.body, std::move(slots));
     return;
   }
 
@@ -883,53 +841,15 @@ void HttpServer::Dispatch(std::shared_ptr<Connection> conn) {
           std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
     }
 
-    // Admission control: server-wide bound first, then the tenant quota.
-    // Shedding answers 503 from the event thread — no Session, no worker.
-    // Queue mode defers admission to the worker instead (AcquireQueued
-    // parks there with a bounded wait; event threads must never block).
-    const bool queue_mode = config_.admission_queue_depth > 0;
-    AdmissionSlot global_slot;
-    AdmissionSlot tenant_slot;
-    if (!queue_mode) {
-      if (!query_admission_.TryAcquire()) {
-        conn->SendResponse(
-            ErrorResponse(Status::ResourceExhausted(
-                              "server query capacity exhausted"),
-                          keep_alive),
-            keep_alive);
-        return;
-      }
-      global_slot = AdmissionSlot(&query_admission_);
-    }
-    std::shared_ptr<Tenant> tenant = tenants_->Resolve(tenant_name);
-    if (tenant == nullptr) {
-      conn->SendResponse(
-          BuildResponse(404, "application/json",
-                        ErrorBody("NotFound",
-                                  "unknown tenant: '" + tenant_name + "'"),
-                        keep_alive),
-          keep_alive);
-      return;
-    }
-    if (!queue_mode) {
-      if (!tenant->admission().TryAcquire()) {
-        tenant_shed_.fetch_add(1, std::memory_order_relaxed);
-        conn->SendResponse(
-            ErrorResponse(Status::ResourceExhausted(
-                              "tenant '" + tenant->name() +
-                              "' query quota exhausted"),
-                          keep_alive),
-            keep_alive);
-        return;
-      }
-      tenant_slot = AdmissionSlot(&tenant->admission());
-    }
+    Slots slots;
+    std::shared_ptr<Tenant> tenant = Admit(conn, tenant_name, &slots);
+    if (tenant == nullptr) return;
 
     conn->inflight_cancel = CancellationToken::Cancellable();
     conn->state = Connection::State::kProcessing;
     conn->UpdateEvents(EPOLLRDHUP);
     SubmitQuery(std::move(conn), std::move(tenant), req.body,
-                std::move(global_slot), std::move(tenant_slot), deadline);
+                std::move(slots), deadline);
     return;
   }
 
@@ -940,60 +860,112 @@ void HttpServer::Dispatch(std::shared_ptr<Connection> conn) {
       keep_alive);
 }
 
+std::shared_ptr<Tenant> HttpServer::Admit(
+    const std::shared_ptr<Connection>& conn, const std::string& tenant_name,
+    Slots* slots) {
+  // Admission control: server-wide bound first, then the tenant quota.
+  // Shedding answers 503 from the event thread — no Session, no worker.
+  // Queue mode defers admission to the worker instead (AcquireQueued
+  // parks there with a bounded wait; event threads must never block), so
+  // both slots stay empty here and AdmitQueued fills them.
+  const bool keep_alive = conn->current_keep_alive;
+  const bool queue_mode = config_.admission_queue_depth > 0;
+  if (!queue_mode) {
+    if (!query_admission_.TryAcquire()) {
+      conn->SendResponse(
+          ErrorResponse(Status::ResourceExhausted(
+                            "server query capacity exhausted"),
+                        keep_alive),
+          keep_alive);
+      return nullptr;
+    }
+    slots->global = AdmissionSlot(&query_admission_);
+  }
+  std::shared_ptr<Tenant> tenant = tenants_->Resolve(tenant_name);
+  if (tenant == nullptr) {
+    conn->SendResponse(
+        BuildResponse(404, "application/json",
+                      ErrorBody("NotFound",
+                                "unknown tenant: '" + tenant_name + "'"),
+                      keep_alive),
+        keep_alive);
+    return nullptr;
+  }
+  if (!queue_mode) {
+    if (!tenant->admission().TryAcquire()) {
+      tenant_shed_.fetch_add(1, std::memory_order_relaxed);
+      conn->SendResponse(
+          ErrorResponse(Status::ResourceExhausted(
+                            "tenant '" + tenant->name() +
+                            "' query quota exhausted"),
+                        keep_alive),
+          keep_alive);
+      return nullptr;
+    }
+    slots->tenant = AdmissionSlot(&tenant->admission());
+  }
+  return tenant;
+}
+
+bool HttpServer::AdmitQueued(const std::shared_ptr<Connection>& conn,
+                             Tenant* tenant, Slots* slots, bool keep_alive) {
+  // Queue-mode admission happens HERE, on the worker: the request parks
+  // in the controller's FIFO for up to the configured wait, so bursts
+  // absorb instead of 503ing, while the event threads stay non-blocking.
+  if (config_.admission_queue_depth == 0 || slots->global.held()) {
+    return true;
+  }
+  Status denied = Status::OK();
+  const AdmissionController::Outcome outcome =
+      query_admission_.AcquireQueued(
+          std::chrono::milliseconds(config_.admission_queue_wait_ms));
+  if (outcome == AdmissionController::Outcome::kAdmitted) {
+    slots->global = AdmissionSlot(&query_admission_);
+    if (tenant->admission().TryAcquire()) {
+      slots->tenant = AdmissionSlot(&tenant->admission());
+    } else {
+      tenant_shed_.fetch_add(1, std::memory_order_relaxed);
+      slots->global.Release();
+      denied = Status::ResourceExhausted(
+          "tenant '" + tenant->name() + "' query quota exhausted");
+    }
+  } else {
+    denied = Status::Unavailable(
+        outcome == AdmissionController::Outcome::kTimedOut
+            ? "admission queue wait exceeded; retry later"
+            : "admission queue full; retry later");
+  }
+  if (denied.ok()) return true;
+  Respond(conn, slots, ErrorResponse(denied, keep_alive), keep_alive);
+  return false;
+}
+
+void HttpServer::Respond(const std::shared_ptr<Connection>& conn,
+                         Slots* slots, std::string response,
+                         bool keep_alive) {
+  // Admission frees up before the completion is posted, even if the loop
+  // is busy.
+  slots->global.Release();
+  slots->tenant.Release();
+  auto bytes = std::make_shared<std::string>(std::move(response));
+  conn->loop->Post([conn, bytes, keep_alive] {
+    conn->CompleteRequest(std::move(*bytes), keep_alive);
+  });
+}
+
 void HttpServer::SubmitQuery(std::shared_ptr<Connection> conn,
                              std::shared_ptr<Tenant> tenant, std::string sql,
-                             AdmissionSlot global_slot,
-                             AdmissionSlot tenant_slot,
+                             Slots slots,
                              std::chrono::steady_clock::time_point deadline) {
   // std::function must be copyable; the move-only admission slots ride in a
-  // shared holder (released explicitly right after execution, before the
-  // completion is posted, so admission frees up even if the loop is busy).
-  struct Slots {
-    AdmissionSlot global;
-    AdmissionSlot tenant;
-  };
-  auto slots = std::make_shared<Slots>();
-  slots->global = std::move(global_slot);
-  slots->tenant = std::move(tenant_slot);
+  // shared holder (released by Respond right after execution).
+  auto held = std::make_shared<Slots>(std::move(slots));
   const bool keep_alive = conn->current_keep_alive;
   const size_t batch_rows = config_.response_batch_rows;
 
-  workers_->Submit([this, conn, tenant, sql = std::move(sql), slots,
+  workers_->Submit([this, conn, tenant, sql = std::move(sql), held,
                     deadline, keep_alive, batch_rows] {
-    // Queue-mode admission happens HERE, on the worker: the request parks
-    // in the controller's FIFO for up to the configured wait, so bursts
-    // absorb instead of 503ing, while the event threads stay non-blocking.
-    if (config_.admission_queue_depth > 0 && !slots->global.held()) {
-      Status denied = Status::OK();
-      const AdmissionController::Outcome outcome =
-          query_admission_.AcquireQueued(
-              std::chrono::milliseconds(config_.admission_queue_wait_ms));
-      if (outcome == AdmissionController::Outcome::kAdmitted) {
-        slots->global = AdmissionSlot(&query_admission_);
-        if (tenant->admission().TryAcquire()) {
-          slots->tenant = AdmissionSlot(&tenant->admission());
-        } else {
-          tenant_shed_.fetch_add(1, std::memory_order_relaxed);
-          slots->global.Release();
-          denied = Status::ResourceExhausted(
-              "tenant '" + tenant->name() + "' query quota exhausted");
-        }
-      } else {
-        denied = Status::Unavailable(
-            outcome == AdmissionController::Outcome::kTimedOut
-                ? "admission queue wait exceeded; retry later"
-                : "admission queue full; retry later");
-      }
-      if (!denied.ok()) {
-        auto bytes = std::make_shared<std::string>(
-            ErrorResponse(denied, keep_alive));
-        EventLoop* loop = conn->loop;
-        loop->Post([conn, bytes, keep_alive] {
-          conn->CompleteRequest(std::move(*bytes), keep_alive);
-        });
-        return;
-      }
-    }
+    if (!AdmitQueued(conn, tenant.get(), held.get(), keep_alive)) return;
     std::function<void()> hook;
     {
       std::lock_guard<std::mutex> lock(hook_mu_);
@@ -1008,67 +980,24 @@ void HttpServer::SubmitQuery(std::shared_ptr<Connection> conn,
 
     Session session = tenant->db()->CreateSession();
     Result<ResultSet> result = session.Execute(sql, options);
-    auto bytes = std::make_shared<std::string>(
-        result.ok() ? QueryResponse(tenant->name(), *result, keep_alive)
-                    : ErrorResponse(result.status(), keep_alive));
-    slots->global.Release();
-    slots->tenant.Release();
-    EventLoop* loop = conn->loop;
-    loop->Post([conn, bytes, keep_alive] {
-      conn->CompleteRequest(std::move(*bytes), keep_alive);
-    });
+    Respond(conn, held.get(),
+            result.ok() ? QueryResponse(tenant->name(), *result, keep_alive)
+                        : ErrorResponse(result.status(), keep_alive),
+            keep_alive);
   });
 }
 
 void HttpServer::SubmitIngest(std::shared_ptr<Connection> conn,
                               std::shared_ptr<Tenant> tenant,
                               std::string table, std::string body,
-                              AdmissionSlot global_slot,
-                              AdmissionSlot tenant_slot) {
-  struct Slots {
-    AdmissionSlot global;
-    AdmissionSlot tenant;
-  };
-  auto slots = std::make_shared<Slots>();
-  slots->global = std::move(global_slot);
-  slots->tenant = std::move(tenant_slot);
+                              Slots slots) {
+  auto held = std::make_shared<Slots>(std::move(slots));
   const bool keep_alive = conn->current_keep_alive;
 
   workers_->Submit([this, conn, tenant, table = std::move(table),
-                    body = std::move(body), slots, keep_alive] {
-    // Same worker-side queued admission as SubmitQuery: ingest shares the
-    // query bounds, so it must also share the queue.
-    if (config_.admission_queue_depth > 0 && !slots->global.held()) {
-      Status denied = Status::OK();
-      const AdmissionController::Outcome outcome =
-          query_admission_.AcquireQueued(
-              std::chrono::milliseconds(config_.admission_queue_wait_ms));
-      if (outcome == AdmissionController::Outcome::kAdmitted) {
-        slots->global = AdmissionSlot(&query_admission_);
-        if (tenant->admission().TryAcquire()) {
-          slots->tenant = AdmissionSlot(&tenant->admission());
-        } else {
-          tenant_shed_.fetch_add(1, std::memory_order_relaxed);
-          slots->global.Release();
-          denied = Status::ResourceExhausted(
-              "tenant '" + tenant->name() + "' query quota exhausted");
-        }
-      } else {
-        denied = Status::Unavailable(
-            outcome == AdmissionController::Outcome::kTimedOut
-                ? "admission queue wait exceeded; retry later"
-                : "admission queue full; retry later");
-      }
-      if (!denied.ok()) {
-        auto bytes = std::make_shared<std::string>(
-            ErrorResponse(denied, keep_alive));
-        EventLoop* loop = conn->loop;
-        loop->Post([conn, bytes, keep_alive] {
-          conn->CompleteRequest(std::move(*bytes), keep_alive);
-        });
-        return;
-      }
-    }
+                    body = std::move(body), held, keep_alive] {
+    // Ingest shares the query bounds, so it also shares the queue.
+    if (!AdmitQueued(conn, tenant.get(), held.get(), keep_alive)) return;
     std::string response = [&]() -> std::string {
       JsonValue doc;
       std::string parse_error;
@@ -1108,13 +1037,7 @@ void HttpServer::SubmitIngest(std::shared_ptr<Connection> conn,
           ",\"epoch\":" + std::to_string(db->epoch()) + "}";
       return BuildResponse(200, "application/json", ok_body, keep_alive);
     }();
-    slots->global.Release();
-    slots->tenant.Release();
-    auto bytes = std::make_shared<std::string>(std::move(response));
-    EventLoop* loop = conn->loop;
-    loop->Post([conn, bytes, keep_alive] {
-      conn->CompleteRequest(std::move(*bytes), keep_alive);
-    });
+    Respond(conn, held.get(), std::move(response), keep_alive);
   });
 }
 
@@ -1245,16 +1168,24 @@ void HttpServer::Stop() {}
 HttpServerStats HttpServer::stats() const { return HttpServerStats(); }
 std::string HttpServer::RenderMetrics() const { return ""; }
 void HttpServer::set_test_pre_query_hook(std::function<void()>) {}
-EventLoop* HttpServer::NextLoop() { return nullptr; }
 void HttpServer::AdoptConnection(int) {}
 void HttpServer::Dispatch(std::shared_ptr<Connection>) {}
+std::shared_ptr<Tenant> HttpServer::Admit(const std::shared_ptr<Connection>&,
+                                          const std::string&, Slots*) {
+  return nullptr;
+}
+bool HttpServer::AdmitQueued(const std::shared_ptr<Connection>&, Tenant*,
+                             Slots*, bool) {
+  return false;
+}
+void HttpServer::Respond(const std::shared_ptr<Connection>&, Slots*,
+                         std::string, bool) {}
 void HttpServer::SubmitQuery(std::shared_ptr<Connection>,
-                             std::shared_ptr<Tenant>, std::string,
-                             AdmissionSlot, AdmissionSlot,
+                             std::shared_ptr<Tenant>, std::string, Slots,
                              std::chrono::steady_clock::time_point) {}
 void HttpServer::SubmitIngest(std::shared_ptr<Connection>,
                               std::shared_ptr<Tenant>, std::string,
-                              std::string, AdmissionSlot, AdmissionSlot) {}
+                              std::string, Slots) {}
 std::string HttpServer::RenderModels(const std::string&, int*) const {
   return "";
 }

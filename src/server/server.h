@@ -143,22 +143,39 @@ class HttpServer {
   friend struct Connection;
   friend class Acceptor;
 
-  EventLoop* NextLoop();
+  /// The server-wide and tenant admission slots one request holds.
+  struct Slots {
+    AdmissionSlot global;
+    AdmissionSlot tenant;
+  };
+
   void AdoptConnection(int fd);
   void ForgetConnection(size_t loop_index, Connection* conn);
   /// Routes one parsed request on the connection's loop thread.
   void Dispatch(std::shared_ptr<Connection> conn);
+  /// Event-thread admission of a query or an ingest: resolves the tenant
+  /// and, outside queue mode, takes both slots. Answers the request itself
+  /// (503 shed, 404 unknown tenant) and returns nullptr when it refuses.
+  std::shared_ptr<Tenant> Admit(const std::shared_ptr<Connection>& conn,
+                                const std::string& tenant_name, Slots* slots);
+  /// Worker-side queue-mode admission: parks for the server-wide slot, then
+  /// takes the tenant slot. Answers the request itself and returns false
+  /// when it refuses. A no-op outside queue mode.
+  bool AdmitQueued(const std::shared_ptr<Connection>& conn, Tenant* tenant,
+                   Slots* slots, bool keep_alive);
+  /// Releases `slots`, then posts `response` to the connection's loop.
+  void Respond(const std::shared_ptr<Connection>& conn, Slots* slots,
+               std::string response, bool keep_alive);
   void SubmitQuery(std::shared_ptr<Connection> conn,
                    std::shared_ptr<Tenant> tenant, std::string sql,
-                   AdmissionSlot global_slot, AdmissionSlot tenant_slot,
+                   Slots slots,
                    std::chrono::steady_clock::time_point deadline);
   /// Parses the JSON row payload and runs Db::Append on a query worker
   /// (ingestion blocks on the writer lock, so it never runs on an event
   /// thread). Shares the query admission bounds.
   void SubmitIngest(std::shared_ptr<Connection> conn,
                     std::shared_ptr<Tenant> tenant, std::string table,
-                    std::string body, AdmissionSlot global_slot,
-                    AdmissionSlot tenant_slot);
+                    std::string body, Slots slots);
   /// The /v1/models payload: every tenant's (or one tenant's) Db::Freshness
   /// rendered as JSON. Cheap enough for the event thread.
   std::string RenderModels(const std::string& tenant_name,

@@ -96,9 +96,8 @@ double ChiSquaredPValue(double statistic, double df);
 /// the current snapshot: per column, the live data is re-binned on the
 /// reference grid and scored; the worst column wins.
 struct DriftScore {
-  /// False when there are no reference summaries to score against (model
-  /// restored from a pre-v4 manifest) — ks/psi read 0 and a drift-triggered
-  /// refresh never fires.
+  /// False when there are no reference summaries to score against — ks/psi
+  /// read 0 and a drift-triggered refresh never fires.
   bool available = false;
   /// Max per-column KS statistic (numeric grids and ordinal categorical).
   double ks = 0.0;

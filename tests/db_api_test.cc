@@ -1,9 +1,11 @@
 // Tests of the session-facing Db API: prepared queries with positional
 // parameters, async execution, and the byte-budgeted completion cache.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,26 +216,26 @@ TEST(OnceLatchTest, DeadlineWaiterTimesOutWhileWorkCompletes) {
   EXPECT_TRUE(later.ok());
 }
 
-TEST(CompletionCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  auto make_table = [](const std::string& name, size_t rows) {
-    Table t(name);
-    Column c("x", ColumnType::kInt64);
-    for (size_t r = 0; r < rows; ++r) c.AppendInt64(static_cast<int64_t>(r));
-    EXPECT_TRUE(t.AddColumn(std::move(c)).ok());
-    return t;
-  };
-  // One shard so the LRU order is global and deterministic.
-  const size_t entry_bytes =
-      CompletionCache::ApproxTableBytes(make_table("t", 100));
-  CompletionCache cache(/*budget_bytes=*/2 * entry_bytes + entry_bytes / 2,
-                        /*num_shards=*/1);
+/// A one-column table of `rows` ints, for the completion-cache tests.
+Table MakeTable(const std::string& name, size_t rows) {
+  Table t(name);
+  Column c("x", ColumnType::kInt64);
+  for (size_t r = 0; r < rows; ++r) c.AppendInt64(static_cast<int64_t>(r));
+  EXPECT_TRUE(t.AddColumn(std::move(c)).ok());
+  return t;
+}
 
-  cache.Put({"a"}, make_table("a", 100));
-  cache.Put({"b"}, make_table("b", 100));
+TEST(CompletionCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
+  const size_t entry_bytes =
+      CompletionCache::ApproxTableBytes(MakeTable("t", 100));
+  CompletionCache cache(/*budget_bytes=*/2 * entry_bytes + entry_bytes / 2);
+
+  cache.Put({"a"}, MakeTable("a", 100));
+  cache.Put({"b"}, MakeTable("b", 100));
   EXPECT_EQ(cache.size(), 2u);
   // Touch "a" so "b" is the LRU victim.
   EXPECT_NE(cache.GetExact({"a"}), nullptr);
-  cache.Put({"c"}, make_table("c", 100));
+  cache.Put({"c"}, MakeTable("c", 100));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_NE(cache.GetExact({"a"}), nullptr);
@@ -242,32 +244,25 @@ TEST(CompletionCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_LE(cache.bytes(), cache.budget_bytes());
 
   // An entry bigger than the whole budget is not cached at all.
-  CompletionCache tiny(/*budget_bytes=*/64, /*num_shards=*/1);
-  tiny.Put({"huge"}, make_table("huge", 10000));
+  CompletionCache tiny(/*budget_bytes=*/64);
+  tiny.Put({"huge"}, MakeTable("huge", 10000));
   EXPECT_EQ(tiny.size(), 0u);
 
   // Unbounded cache (the default) never evicts.
   CompletionCache unbounded;
   for (int i = 0; i < 16; ++i) {
-    unbounded.Put({"t" + std::to_string(i)}, make_table("t", 1000));
+    unbounded.Put({"t" + std::to_string(i)}, MakeTable("t", 1000));
   }
   EXPECT_EQ(unbounded.size(), 16u);
   EXPECT_EQ(unbounded.evictions(), 0u);
 }
 
-TEST(CompletionCacheTest, CoveringLookupServedByPerTableIndex) {
-  auto make_table = [](const std::string& name, size_t rows) {
-    Table t(name);
-    Column c("x", ColumnType::kInt64);
-    for (size_t r = 0; r < rows; ++r) c.AppendInt64(static_cast<int64_t>(r));
-    EXPECT_TRUE(t.AddColumn(std::move(c)).ok());
-    return t;
-  };
+TEST(CompletionCacheTest, CoveringLookupPicksSmallestSuperset) {
   CompletionCache cache;
-  cache.Put({"a"}, make_table("only_a", 10));
-  cache.Put({"a", "b"}, make_table("ab", 10));
-  cache.Put({"a", "b", "c"}, make_table("abc", 10));
-  cache.Put({"d"}, make_table("only_d", 10));
+  cache.Put({"a"}, MakeTable("only_a", 10));
+  cache.Put({"a", "b"}, MakeTable("ab", 10));
+  cache.Put({"a", "b", "c"}, MakeTable("abc", 10));
+  cache.Put({"d"}, MakeTable("only_d", 10));
 
   // Exact-set and smallest-superset hits.
   auto ab = cache.GetCovering({"a", "b"});
@@ -283,35 +278,116 @@ TEST(CompletionCacheTest, CoveringLookupServedByPerTableIndex) {
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->name(), "only_a");
 
-  // A query table no cached entry contains short-circuits to a miss — the
-  // index rules it out without scanning any shard.
+  // A query table no cached entry contains is a miss, and counts as one.
   const size_t misses_before = cache.misses();
   EXPECT_EQ(cache.GetCovering({"a", "nope"}), nullptr);
   EXPECT_EQ(cache.misses(), misses_before + 1);
 
-  // Table names that are substrings of cached table names must not match
-  // (the index is exact, and key segments are compared whole).
+  // Table names that are substrings of cached table names must not match.
   EXPECT_EQ(cache.GetCovering({"only"}), nullptr);
 
-  // Clear() drops the index along with the entries.
-  cache.Clear();
-  EXPECT_EQ(cache.GetCovering({"a"}), nullptr);
+  // Equal-size covers go to the smaller sorted "t1|t2|...|" string, not to
+  // the smaller set: "h1_z|x|" < "h1|x|" because '_' sorts before '|',
+  // while the set {h1, x} < {h1_z, x}. Neither insertion order nor recency
+  // decides.
+  CompletionCache tie;
+  tie.Put({"h1", "x"}, MakeTable("h1_x", 10));
+  tie.Put({"h1_z", "x"}, MakeTable("h1z_x", 10));
+  EXPECT_NE(tie.GetExact({"h1", "x"}), nullptr);  // the most recently used
+  auto tied = tie.GetCovering({"x"});
+  ASSERT_NE(tied, nullptr);
+  EXPECT_EQ(tied->name(), "h1z_x");
 
-  // Eviction unindexes the victim: with a one-shard budget sized for two
-  // entries, inserting a third evicts the LRU, and covering lookups for its
-  // tables stop finding it.
+  // An evicted entry stops covering: with a budget sized for two entries,
+  // inserting a third evicts the LRU, and covering lookups for its tables
+  // stop finding it.
   const size_t entry_bytes =
-      CompletionCache::ApproxTableBytes(make_table("t", 100));
-  CompletionCache lru(/*budget_bytes=*/2 * entry_bytes + entry_bytes / 2,
-                      /*num_shards=*/1);
-  lru.Put({"x"}, make_table("x", 100));
-  lru.Put({"y"}, make_table("y", 100));
+      CompletionCache::ApproxTableBytes(MakeTable("t", 100));
+  CompletionCache lru(/*budget_bytes=*/2 * entry_bytes + entry_bytes / 2);
+  lru.Put({"x"}, MakeTable("x", 100));
+  lru.Put({"y"}, MakeTable("y", 100));
   EXPECT_NE(lru.GetCovering({"x"}), nullptr);  // bump x; y becomes LRU
-  lru.Put({"z"}, make_table("z", 100));
+  lru.Put({"z"}, MakeTable("z", 100));
   EXPECT_EQ(lru.evictions(), 1u);
   EXPECT_EQ(lru.GetCovering({"y"}), nullptr);
   EXPECT_NE(lru.GetCovering({"x"}), nullptr);
   EXPECT_NE(lru.GetCovering({"z"}), nullptr);
+}
+
+TEST(CompletionCacheTest, HoldsOnlyTheNewestEpoch) {
+  const size_t entry_bytes =
+      CompletionCache::ApproxTableBytes(MakeTable("t", 100));
+  // Room for three entries: dropping an epoch must not pass for eviction.
+  CompletionCache cache(/*budget_bytes=*/3 * entry_bytes);
+  cache.Put({"a"}, MakeTable("a@1", 100), /*epoch=*/1);
+  cache.Put({"a", "b"}, MakeTable("ab@1", 100), /*epoch=*/1);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 2 * entry_bytes);
+  EXPECT_NE(cache.GetExact({"a"}, 1), nullptr);
+  EXPECT_EQ(cache.GetExact({"a"}, 0), nullptr) << "other epochs never hit";
+
+  // The first write of epoch 2 drops all of epoch 1.
+  cache.Put({"c"}, MakeTable("c@2", 100), /*epoch=*/2);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), entry_bytes);
+  EXPECT_EQ(cache.GetExact({"a"}, 1), nullptr);
+  EXPECT_EQ(cache.GetCovering({"b"}, 1), nullptr);
+  EXPECT_EQ(cache.GetExact({"a"}, 2), nullptr);
+  auto c = cache.GetCovering({"c"}, 2);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->name(), "c@2");
+
+  // A late write of epoch 1 (a query pinned before the swap) is not stored.
+  cache.Put({"a"}, MakeTable("a@1", 100), /*epoch=*/1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.GetExact({"a"}, 1), nullptr);
+  EXPECT_EQ(cache.GetExact({"a"}, 2), nullptr);
+
+  // A lookup at a newer epoch misses without advancing the held one.
+  EXPECT_EQ(cache.GetExact({"c"}, 3), nullptr);
+  EXPECT_NE(cache.GetExact({"c"}, 2), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(CompletionCacheTest, ConcurrentEpochAdvanceNeverServesAnotherEpoch) {
+  // Four threads write and look up while they keep advancing the epoch. An
+  // entry's table is named for the epoch it was computed at, so any hit
+  // that crosses epochs shows in its name. The budget holds three of the
+  // four table sets, so LRU eviction runs under the same contention.
+  const size_t entry_bytes =
+      CompletionCache::ApproxTableBytes(MakeTable("", 16));
+  CompletionCache cache(/*budget_bytes=*/3 * entry_bytes);
+  const std::vector<std::set<std::string>> sets = {
+      {"a", "b"}, {"a", "c"}, {"a", "b", "c"}, {"d"}};
+  std::atomic<uint64_t> epoch{1};
+  std::atomic<size_t> hits{0};
+  std::atomic<size_t> crossed{0};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const uint64_t e = epoch.load();
+        const std::string name = "epoch-" + std::to_string(e);
+        const auto& tables = sets[static_cast<size_t>(i + t) % sets.size()];
+        cache.Put(tables, MakeTable(name, 16), e);
+        for (const auto& hit :
+             {cache.GetExact(tables, e), cache.GetCovering({"a"}, e)}) {
+          if (hit == nullptr) continue;
+          hits.fetch_add(1);
+          if (hit->name() != name) crossed.fetch_add(1);
+        }
+        if (i % 16 == 15) epoch.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(crossed.load(), 0u) << "a hit served another epoch's join";
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_LE(cache.size(), 3u);
+  EXPECT_EQ(cache.bytes(), cache.size() * entry_bytes);
 }
 
 TEST(DbTest, CacheBudgetIsWiredThroughEngineConfig) {

@@ -351,6 +351,31 @@ TEST(IngestionTest, CacheNeverServesAcrossGenerations) {
   EXPECT_EQ(Flatten(*r3), Flatten(*r4));
 }
 
+TEST(IngestionTest, UnboundedCacheHoldsOneEpochUnderIngest) {
+  // With no budget, only the epoch rule bounds the completion cache: every
+  // append moves the epoch, and the next cache write must drop the joins of
+  // the previous one instead of piling them up.
+  Database incomplete = MakeIncompleteSynthetic(521);
+  auto db = Db::Open(&incomplete, Annotation(),
+                     DbOptions().WithEngine(FastConfig()));
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ((*db)->cache().budget_bytes(), 0u);
+  ASSERT_TRUE((*db)->ExecuteCompletedSql(kJoinCount).ok());
+  const size_t first_bytes = (*db)->cache().bytes();
+  ASSERT_GT(first_bytes, 0u);
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_TRUE((*db)
+                    ->Append("table_b",
+                             MakeRows(5, 980000 + 5 * round, "novel"))
+                    .ok());
+    ASSERT_TRUE((*db)->ExecuteCompletedSql(kJoinCount).ok());
+    EXPECT_LE((*db)->cache().bytes(), 2 * first_bytes)
+        << "after append " << round + 1;
+  }
+  EXPECT_EQ((*db)->epoch(), 10u);
+  EXPECT_EQ((*db)->cache().evictions(), 0u);
+}
+
 /// A completion serialized byte for byte: the joined table (name, column
 /// names, types and cells) and the synthesized columns and counts.
 std::string CompletionBytes(const CompletionResult& c) {

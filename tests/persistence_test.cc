@@ -16,7 +16,6 @@
 #include "datagen/incompleteness.h"
 #include "datagen/synthetic.h"
 #include "restore/db.h"
-#include "stats/histogram.h"
 
 namespace restore {
 namespace {
@@ -355,18 +354,17 @@ TEST(PersistenceTest, TruncatedModelFileIsRejected) {
       << reopened.status();
 }
 
-TEST(PersistenceTest, PreDriftV3ManifestStillLoads) {
-  // Backward compatibility of manifest v4 (which appended per-model drift
-  // reference summaries): a v3 manifest — rebuilt here by stripping the
-  // summary section from a fresh save and re-framing at version 3 — must
-  // still load, with drift simply reported unavailable.
+TEST(PersistenceTest, PreV4ManifestIsRejected) {
+  // Only manifest v4 loads. A saved manifest re-framed at version 3, its
+  // payload unchanged, must fail the open with FailedPrecondition naming
+  // both versions — never load with drift silently missing.
   Database incomplete = MakeIncompleteSynthetic(311);
   auto db = Db::Open(&incomplete, Annotation(),
                      DbOptions().WithEngine(FastConfig()));
   ASSERT_TRUE(db.ok());
-  auto answer = (*db)->ExecuteCompletedSql(
-      "SELECT COUNT(*) FROM table_b GROUP BY b;");
-  ASSERT_TRUE(answer.ok());
+  ASSERT_TRUE((*db)->ExecuteCompletedSql(
+                      "SELECT COUNT(*) FROM table_b GROUP BY b;")
+                  .ok());
   const std::string dir = FreshDir("v3_manifest");
   ASSERT_TRUE((*db)->SaveModels(dir).ok());
 
@@ -375,82 +373,36 @@ TEST(PersistenceTest, PreDriftV3ManifestStillLoads) {
   const std::string manifest_path = *gen_dir + "/restore_models.manifest";
   uint32_t version = 0;
   auto payload = ReadChecksummedFile(manifest_path, kManifestMagic,
-                                    kManifestVersion, &version);
+                                     kManifestVersion, &version);
   ASSERT_TRUE(payload.ok()) << payload.status();
   ASSERT_EQ(version, kManifestVersion);
+  ASSERT_TRUE(WriteChecksummedFileAtomic(manifest_path, kManifestMagic,
+                                         kManifestVersion - 1, *payload)
+                  .ok());
 
-  BinaryReader r(std::move(payload).value());
-  BinaryWriter w;
-  w.U64(r.U64());  // engine-config fingerprint
-  const uint64_t num_models = r.U64();
-  w.U64(num_models);
-  ASSERT_GT(num_models, 0u);
-  for (uint64_t i = 0; i < num_models; ++i) {
-    w.Str(r.Str());  // path key
-    w.Str(r.Str());  // filename
-    w.U64(r.U64());  // generation
-    w.U64(r.U64());  // trained rows
-    w.F64(r.F64());  // train seconds
-    const uint64_t num_summaries = r.U64();
-    EXPECT_GT(num_summaries, 0u);  // v4 saves reference summaries
-    for (uint64_t s = 0; s < num_summaries; ++s) {
-      auto summary = ColumnSummary::Load(&r);  // consumed, not re-emitted
-      ASSERT_TRUE(summary.ok()) << summary.status();
-    }
-  }
-  const uint64_t num_selections = r.U64();
-  w.U64(num_selections);
-  for (uint64_t i = 0; i < num_selections; ++i) {
-    w.Str(r.Str());
-    w.VecStr(r.VecStr());
-  }
-  ASSERT_TRUE(r.status().ok()) << r.status();
-  ASSERT_TRUE(r.AtEnd());
-  ASSERT_TRUE(
-      WriteChecksummedFileAtomic(manifest_path, kManifestMagic,
-                                 kManifestVersion - 1, w.buffer())
-          .ok());
+  const DbOptions options =
+      DbOptions().WithEngine(FastConfig()).WithModelDir(dir);
+  auto reopened = Db::Open(&incomplete, Annotation(), options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition)
+      << reopened.status();
+  const std::string& message = reopened.status().message();
+  EXPECT_NE(message.find("version 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("version 4"), std::string::npos) << message;
 
-  auto reopened = Db::Open(&incomplete, Annotation(),
-                           DbOptions().WithEngine(FastConfig()).WithModelDir(
-                               dir));
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_GT((*reopened)->models_loaded(), 0u);
-  for (const ModelInfo& info : (*reopened)->Freshness()) {
-    EXPECT_TRUE(info.loaded_from_disk);
-    EXPECT_FALSE(info.drift_available);
-    EXPECT_EQ(info.drift_ks, 0.0);
-  }
-  // And it answers exactly like the Db that trained the models.
-  auto reopened_answer = (*reopened)->ExecuteCompletedSql(
-      "SELECT COUNT(*) FROM table_b GROUP BY b;");
-  ASSERT_TRUE(reopened_answer.ok());
-  ASSERT_EQ(answer->num_rows(), reopened_answer->num_rows());
-
-  // A drift-triggered refresh can never fire without a reference: the sync
-  // sweep is a no-op even though data moved.
-  RefreshPolicy drift;
-  drift.trigger = RefreshPolicy::Trigger::kDrift;
-  drift.max_concurrent_retrains = 0;
-  Database grown = incomplete.Clone();
-  {
-    auto table = grown.GetMutableTable("table_b");
-    ASSERT_TRUE(table.ok());
-    for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE((*table)
-                      ->AppendRow({Value::Int64(700000 + i), Value::Int64(i),
-                                   Value::Categorical("unseen")})
-                      .ok());
-    }
-  }
-  auto drifted = Db::Open(&grown, Annotation(),
-                          DbOptions()
-                              .WithEngine(FastConfig())
-                              .WithModelDir(dir)
-                              .WithRefreshPolicy(drift));
-  ASSERT_TRUE(drifted.ok()) << drifted.status();
-  ASSERT_TRUE((*drifted)->RefreshStaleModels().ok());
-  EXPECT_EQ((*drifted)->stats().models_refreshed, 0u);
+  // The flat layout from before generations — manifest and model files at
+  // the top of the model directory, no gen-* — is not found, whatever the
+  // manifest's version.
+  ASSERT_TRUE(WriteChecksummedFileAtomic(manifest_path, kManifestMagic,
+                                         kManifestVersion, *payload)
+                  .ok());
+  const std::string flat = FreshDir("flat_layout");
+  ASSERT_EQ(std::rename(gen_dir->c_str(), flat.c_str()), 0);
+  auto from_flat = Db::Open(&incomplete, Annotation(),
+                            DbOptions().WithEngine(FastConfig()).WithModelDir(
+                                flat));
+  ASSERT_FALSE(from_flat.ok());
+  EXPECT_TRUE(from_flat.status().IsNotFound()) << from_flat.status();
 }
 
 TEST(PersistenceTest, MissingManifestIsRejected) {

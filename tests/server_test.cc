@@ -697,6 +697,90 @@ TEST(HttpServerTest, IngestRejectsBadPayloadsWithoutPublishing) {
   ::close(fd);
 }
 
+TEST(HttpServerTest, IngestSharesQueryAdmissionBounds) {
+  // With `held` hooked queries filling a bound, an ingest is shed from the
+  // event thread with 503 naming that bound, and publishes nothing.
+  const auto expect_shed = [](ServerConfig config, TenantOptions quota,
+                              int held, const std::string& reason) {
+    config.query_threads = 2;
+    TestServer server(config, quota);
+    auto gate = std::make_shared<HookGate>();
+    server.http->set_test_pre_query_hook([gate] { gate->Block(); });
+    std::vector<int> fds;
+    for (int i = 0; i < held; ++i) {
+      fds.push_back(ConnectTo(server.port()));
+      ASSERT_TRUE(SendAll(fds.back(), RequestText("POST", "/v1/query/h1",
+                                                  kCompleteTableSql)));
+    }
+    ASSERT_TRUE(gate->WaitForEntered(held));
+    const uint64_t epoch_before = SharedDb()->epoch();
+    const int fd = ConnectTo(server.port());
+    auto shed = RoundTrip(fd, RequestText("POST", "/v1/ingest/h1/neighborhood",
+                                          "[[909200,\"zx\",1.5,\"urban\","
+                                          "null]]"));
+    EXPECT_EQ(shed.status, 503) << shed.body;
+    EXPECT_NE(shed.body.find("ResourceExhausted"), std::string::npos);
+    EXPECT_NE(shed.body.find(reason), std::string::npos) << shed.body;
+    EXPECT_EQ(SharedDb()->epoch(), epoch_before);
+
+    gate->Open();
+    for (const int held_fd : fds) {
+      ClientResponse r;
+      EXPECT_TRUE(ReadResponse(held_fd, &r));
+      EXPECT_EQ(r.status, 200);
+      ::close(held_fd);
+    }
+    ::close(fd);
+  };
+  ServerConfig two_slots;
+  two_slots.max_inflight_queries = 2;
+  expect_shed(two_slots, TenantOptions(), 2, "server query capacity");
+  ServerConfig roomy;
+  roomy.max_inflight_queries = 8;
+  TenantOptions one_slot;
+  one_slot.max_inflight_queries = 1;
+  expect_shed(roomy, one_slot, 1, "quota");
+}
+
+TEST(HttpServerTest, QueueModeParksIngestUntilSlotFrees) {
+  ServerConfig config;
+  config.max_inflight_queries = 1;
+  config.admission_queue_depth = 4;
+  config.admission_queue_wait_ms = 5000;
+  config.query_threads = 2;
+  TestServer server(config);
+  auto gate = std::make_shared<HookGate>();
+  server.http->set_test_pre_query_hook([gate] { gate->Block(); });
+
+  const int fd1 = ConnectTo(server.port());
+  ASSERT_TRUE(SendAll(fd1, RequestText("POST", "/v1/query",
+                                       kCompleteTableSql)));
+  ASSERT_TRUE(gate->WaitForEntered(1));
+
+  // The ingest parks in the admission FIFO behind the held query and
+  // publishes nothing until it is admitted.
+  const uint64_t epoch_before = SharedDb()->epoch();
+  const int fd2 = ConnectTo(server.port());
+  ASSERT_TRUE(SendAll(fd2, RequestText("POST", "/v1/ingest/h1/neighborhood",
+                                       "[[909300,\"zx\",1.5,\"urban\","
+                                       "null]]")));
+  ASSERT_TRUE(WaitFor(
+      [&] { return server.http->stats().admission_queued >= 1; }));
+  EXPECT_EQ(SharedDb()->epoch(), epoch_before);
+
+  gate->Open();
+  ClientResponse r1, r2;
+  EXPECT_TRUE(ReadResponse(fd1, &r1));
+  EXPECT_TRUE(ReadResponse(fd2, &r2));
+  EXPECT_EQ(r1.status, 200);
+  EXPECT_EQ(r2.status, 200) << r2.body;
+  EXPECT_NE(r2.body.find("\"appended\":1"), std::string::npos) << r2.body;
+  EXPECT_EQ(SharedDb()->epoch(), epoch_before + 1);
+  EXPECT_EQ(server.http->stats().admission_queue_timeouts, 0u);
+  ::close(fd1);
+  ::close(fd2);
+}
+
 TEST(HttpServerTest, ModelsEndpointRendersFreshness) {
   TestServer server;
   const int fd = ConnectTo(server.port());
