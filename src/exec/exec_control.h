@@ -49,16 +49,6 @@ class CancellationToken {
   std::shared_ptr<std::atomic<bool>> state_;
 };
 
-/// How one query interacts with the Db's completion cache.
-enum class CachePolicy {
-  /// Honor the engine configuration (read and write when enabled).
-  kDefault,
-  /// Neither read nor write the cache: every execution re-runs completion.
-  kBypass,
-  /// Read cached joins but never insert new ones.
-  kReadOnly,
-};
-
 /// Per-query timing and resource accounting. Every executed query returns
 /// one on its ResultSet; the Db additionally aggregates them across queries
 /// for scraping (Db::stats()).
@@ -110,9 +100,6 @@ struct QueryOptions {
   /// (completion cost scales with sampled tuples). Exceeding it fails the
   /// query with Status::ResourceExhausted. 0 = unbounded.
   uint64_t max_completed_rows = 0;
-
-  /// Completion-cache interaction of this query.
-  CachePolicy cache_policy = CachePolicy::kDefault;
 
   /// Row-batch size of the returned ResultSet cursor (clamped to >= 1).
   size_t batch_rows = 256;
@@ -196,11 +183,6 @@ class ExecContext {
     return options_ == nullptr
                ? std::chrono::steady_clock::time_point::max()
                : options_->deadline;
-  }
-
-  CachePolicy cache_policy() const {
-    return options_ == nullptr ? CachePolicy::kDefault
-                               : options_->cache_policy;
   }
 
   size_t batch_rows() const {

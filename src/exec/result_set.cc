@@ -67,20 +67,6 @@ double ResultSet::ValueOr(const std::vector<std::string>& key, size_t col,
   return row < 0 ? fallback : value(static_cast<size_t>(row), col);
 }
 
-QueryResult ResultSet::ToQueryResult() const {
-  QueryResult out;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    std::vector<std::string> key;
-    key.reserve(key_cols_.size());
-    for (const auto& col : key_cols_) key.push_back(col[r]);
-    std::vector<double> values;
-    values.reserve(value_cols_.size());
-    for (const auto& col : value_cols_) values.push_back(col[r]);
-    out.groups.emplace(std::move(key), std::move(values));
-  }
-  return out;
-}
-
 std::string ResultSet::ToString() const {
   std::ostringstream os;
   for (size_t r = 0; r < num_rows_; ++r) {

@@ -90,10 +90,7 @@ class ResultSet {
   const ExecStats& stats() const { return stats_; }
   ExecStats* mutable_stats() { return &stats_; }
 
-  // ---- Compatibility --------------------------------------------------------
-  /// Materializes the old map-shaped result (copies everything; prefer the
-  /// batch cursor or random access on hot paths).
-  QueryResult ToQueryResult() const;
+  // ---- Rendering ------------------------------------------------------------
   /// Same rendering as the old QueryResult::ToString.
   std::string ToString() const;
 

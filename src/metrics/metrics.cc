@@ -25,28 +25,6 @@ double GroupError(const std::vector<double>& truth,
 
 }  // namespace
 
-double AverageRelativeError(const QueryResult& truth,
-                            const QueryResult& estimate) {
-  if (truth.groups.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& [key, values] : truth.groups) {
-    auto it = estimate.groups.find(key);
-    if (it == estimate.groups.end()) {
-      total += 1.0;  // missing group: 100% relative error
-    } else {
-      total += GroupError(values, it->second);
-    }
-  }
-  return total / static_cast<double>(truth.groups.size());
-}
-
-double RelativeErrorImprovement(const QueryResult& truth,
-                                const QueryResult& incomplete,
-                                const QueryResult& completed) {
-  return AverageRelativeError(truth, incomplete) -
-         AverageRelativeError(truth, completed);
-}
-
 double AverageRelativeError(const ResultSet& truth,
                             const ResultSet& estimate) {
   if (truth.num_rows() == 0) return 0.0;
@@ -54,7 +32,6 @@ double AverageRelativeError(const ResultSet& truth,
   std::vector<std::string> key(truth.num_key_columns());
   std::vector<double> truth_vals(truth.num_value_columns());
   std::vector<double> est_vals(estimate.num_value_columns());
-  // Truth rows are in key order (the order the map overload iterates in).
   for (size_t r = 0; r < truth.num_rows(); ++r) {
     for (size_t c = 0; c < key.size(); ++c) key[c] = truth.key(r, c);
     const int64_t er = estimate.FindRow(key);

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "exec/aggregate.h"
 #include "exec/result_set.h"
 #include "storage/table.h"
 
@@ -14,19 +13,12 @@ namespace restore {
 /// (Section 2.1): for group-by queries, the mean over all TRUE result groups
 /// of |est - truth| / |truth|; groups missing from the estimate contribute an
 /// error of 1. Aggregates are averaged when the SELECT list has several.
-/// The ResultSet overload iterates truth rows in key order — the exact
-/// float accumulation order of the map-based overload, so both produce
-/// bit-identical numbers for the same data.
-double AverageRelativeError(const QueryResult& truth,
-                            const QueryResult& estimate);
+/// Truth rows are visited in key order.
 double AverageRelativeError(const ResultSet& truth,
                             const ResultSet& estimate);
 
 /// Relative error improvement achieved by completion (Fig 8):
 ///   Er(incomplete, truth) - Er(completed, truth).
-double RelativeErrorImprovement(const QueryResult& truth,
-                                const QueryResult& incomplete,
-                                const QueryResult& completed);
 double RelativeErrorImprovement(const ResultSet& truth,
                                 const ResultSet& incomplete,
                                 const ResultSet& completed);

@@ -25,9 +25,6 @@ class EmbeddingSet {
   int vocab_size(size_t attr) const {
     return static_cast<int>(tables_[attr].value.rows());
   }
-  /// Read-only view of one attribute's [V_i x embed_dim] table; used by the
-  /// incremental-sampling delta path to diff two codes' embeddings.
-  const Matrix& table_value(size_t attr) const { return tables_[attr].value; }
 
   /// Embeds `codes` ([batch x n_attrs]) into `out`
   /// ([batch x n_attrs*embed_dim]). Codes must be in range per attribute.

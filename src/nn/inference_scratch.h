@@ -25,14 +25,6 @@ struct MadeScratch {
   Matrix ctx_out;            // output-layer context projection
   Matrix logits;             // SampleRange/PredictDistribution logits buffer
   std::vector<double> u;     // SampleRange pre-drawn uniforms
-  // Incremental-sampling state (MadeConfig::incremental_sampling): the
-  // first layer's pre-activation (x0·W1 + b1 [+ ctx]) and the embedding
-  // delta of the just-sampled attribute. Valid ONLY within one SampleRange
-  // call — `x0` and `z1_lin` must describe the same codes, which holds
-  // between that call's consecutive attributes and nowhere else, so every
-  // SampleRange cold-starts them (arena rule 4 in src/nn/README.md).
-  Matrix z1_lin;       // first-layer pre-activation carried across attrs
-  Matrix delta_embed;  // (e_new - e_old) of the just-sampled attribute
 };
 
 /// Per-call workspace of one DeepSetsEncoder inference pass. Child tables

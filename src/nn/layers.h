@@ -116,12 +116,6 @@ class MaskedDense {
   size_t in_dim() const { return mask_.rows(); }
   size_t out_dim() const { return mask_.cols(); }
 
-  /// The frozen effective weight (W * M) read by the inference paths. Valid
-  /// after RefreshMaskedWeights(); exposed for the incremental-sampling
-  /// delta update, which multiplies an embedding delta against a row block
-  /// of these weights.
-  const Matrix& masked_weights() const { return masked_w_; }
-
  private:
 
   Param w_;

@@ -161,11 +161,29 @@ void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
   }
 }
 
-const Matrix* MadeModel::ForwardHiddenFrom(const Matrix* prev,
-                                           size_t start_layer,
-                                           const Matrix& context,
-                                           MadeScratch* scratch) const {
-  for (size_t l = start_layer; l < config_.num_layers; ++l) {
+const Matrix* MadeModel::ForwardTrunk(const IntMatrix& codes,
+                                      const Matrix& context,
+                                      MadeScratch* scratch,
+                                      int changed_attr) const {
+  assert(codes.cols() == num_attrs());
+  assert(!has_context_ || (context.rows() == codes.rows() &&
+                           context.cols() == config_.context_dim));
+  if (changed_attr >= 0 && scratch->x0.rows() == codes.rows() &&
+      scratch->x0.cols() == embed_.output_dim()) {
+    // Within one SampleRange loop only the just-sampled attribute's column
+    // changed, so only its embedding block needs re-gathering — a pure copy,
+    // byte-identical to the full gather.
+    embed_.ForwardInferenceColumn(codes, static_cast<size_t>(changed_attr),
+                                  &scratch->x0);
+  } else {
+    embed_.ForwardInference(codes, &scratch->x0);
+  }
+  if (scratch->relu.size() != config_.num_layers) {
+    scratch->relu.assign(config_.num_layers, Matrix());
+    scratch->h.assign(config_.num_layers, Matrix());
+  }
+  const Matrix* prev = &scratch->x0;
+  for (size_t l = 0; l < config_.num_layers; ++l) {
     if (!has_context_) {
       // Fused epilogue: relu(gemm + bias) [+ residual] applied in the
       // kernel's store phase — bit-identical to the separate passes below
@@ -203,30 +221,6 @@ const Matrix* MadeModel::ForwardHiddenFrom(const Matrix* prev,
   return prev;
 }
 
-const Matrix* MadeModel::ForwardTrunk(const IntMatrix& codes,
-                                      const Matrix& context,
-                                      MadeScratch* scratch,
-                                      int changed_attr) const {
-  assert(codes.cols() == num_attrs());
-  assert(!has_context_ || (context.rows() == codes.rows() &&
-                           context.cols() == config_.context_dim));
-  if (changed_attr >= 0 && scratch->x0.rows() == codes.rows() &&
-      scratch->x0.cols() == embed_.output_dim()) {
-    // Within one SampleRange loop only the just-sampled attribute's column
-    // changed, so only its embedding block needs re-gathering — a pure copy,
-    // byte-identical to the full gather.
-    embed_.ForwardInferenceColumn(codes, static_cast<size_t>(changed_attr),
-                                  &scratch->x0);
-  } else {
-    embed_.ForwardInference(codes, &scratch->x0);
-  }
-  if (scratch->relu.size() != config_.num_layers) {
-    scratch->relu.assign(config_.num_layers, Matrix());
-    scratch->h.assign(config_.num_layers, Matrix());
-  }
-  return ForwardHiddenFrom(&scratch->x0, 0, context, scratch);
-}
-
 // Mirrors the training Forward op for op (same kernels over the same masked
 // weights, so logits are bit-identical), but every buffer it writes lives in
 // `scratch` and every layer call is the const inference path.
@@ -240,80 +234,24 @@ void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
   }
 }
 
-// Shared output stage of the sliced paths: attribute `attr`'s logit block
-// from the final hidden activation, plus the context projection's slice.
-void MadeModel::EmitLogitsSlice(const Matrix& hidden, const Matrix& context,
-                                size_t attr, Matrix* logits,
-                                MadeScratch* scratch) const {
-  const size_t begin = offsets_[attr];
-  const size_t end = offsets_[attr + 1];
-  out_.ForwardInferenceSlice(hidden, begin, end, logits);
-  if (has_context_) {
-    ctx_out_.ForwardInferenceSlice(context, begin, end, &scratch->ctx_out);
-    AddInPlaceCols(scratch->ctx_out, begin, end, logits);
-  }
-}
-
 // The sampling fast path: the hidden trunk runs in full (its activations
 // feed every later attribute), but the output layer computes only the
-// active attribute's logit block — column-sliced kernels over the same
-// frozen weights produce bit-identical values (see MatMulColsSlice), so
-// this IS the default and the determinism suites keep pinning it.
+// active attribute's logit block, plus the context projection's slice —
+// column-sliced kernels over the same frozen weights produce bit-identical
+// values (see MatMulColsSlice), so this IS the default and the determinism
+// suites keep pinning it.
 void MadeModel::ForwardLogitsSlice(const IntMatrix& codes,
                                    const Matrix& context, size_t attr,
                                    int changed_attr, Matrix* logits,
                                    MadeScratch* scratch) const {
   const Matrix* prev = ForwardTrunk(codes, context, scratch, changed_attr);
-  EmitLogitsSlice(*prev, context, attr, logits, scratch);
-}
-
-void MadeModel::ForwardLogitsSliceIncremental(const IntMatrix& codes,
-                                              const Matrix& context,
-                                              size_t attr, int changed_attr,
-                                              Matrix* logits,
-                                              MadeScratch* scratch) const {
-  assert(codes.cols() == num_attrs());
-  if (scratch->relu.size() != config_.num_layers) {
-    scratch->relu.assign(config_.num_layers, Matrix());
-    scratch->h.assign(config_.num_layers, Matrix());
+  const size_t begin = offsets_[attr];
+  const size_t end = offsets_[attr + 1];
+  out_.ForwardInferenceSlice(*prev, begin, end, logits);
+  if (has_context_) {
+    ctx_out_.ForwardInferenceSlice(context, begin, end, &scratch->ctx_out);
+    AddInPlaceCols(scratch->ctx_out, begin, end, logits);
   }
-  if (changed_attr < 0) {
-    // Cold start: full embed + first layer, capturing the pre-activation.
-    embed_.ForwardInference(codes, &scratch->x0);
-    hidden_[0].ForwardInferenceFused(scratch->x0, /*relu=*/false,
-                                     /*residual=*/nullptr, &scratch->z1_lin);
-    if (has_context_) {
-      ctx_hidden_[0].ForwardInference(context, &scratch->ctx);
-      AddInPlace(scratch->ctx, &scratch->z1_lin);
-    }
-  } else {
-    // Only `changed_attr`'s embedding block of x0 differs from the codes
-    // z1_lin was computed for: diff the embeddings, patch x0 in place, and
-    // push the delta through that block's rows of the masked weights.
-    const size_t batch = codes.rows();
-    const size_t embed_dim = config_.embed_dim;
-    const Matrix& table = embed_.table_value(static_cast<size_t>(changed_attr));
-    const size_t block = static_cast<size_t>(changed_attr) * embed_dim;
-    Matrix& delta = scratch->delta_embed;
-    delta.Resize(batch, embed_dim);
-    for (size_t r = 0; r < batch; ++r) {
-      const float* e_new =
-          table.row(static_cast<size_t>(codes.at(r, changed_attr)));
-      float* x0_block = scratch->x0.row(r) + block;
-      float* drow = delta.row(r);
-      for (size_t e = 0; e < embed_dim; ++e) {
-        drow[e] = e_new[e] - x0_block[e];
-        x0_block[e] = e_new[e];
-      }
-    }
-    MatMulRowsAccum(delta, hidden_[0].masked_weights(), block,
-                    &scratch->z1_lin);
-  }
-  // relu(z1_lin) into the layer-0 slot, keeping z1_lin for the next delta.
-  ReluInto(scratch->z1_lin, &scratch->relu[0]);
-  const Matrix* prev =
-      ForwardHiddenFrom(&scratch->relu[0], 1, context, scratch);
-  EmitLogitsSlice(*prev, context, attr, logits, scratch);
 }
 
 void MadeModel::FinalizeForInference() {
@@ -454,21 +392,13 @@ void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
   const size_t batch = codes->rows();
   Matrix& logits = scratch->logits;
   std::vector<double>& sample_u = scratch->u;
-  // Default path: column-sliced output layer, bit-identical to the full
-  // Forward (only the active block of `logits` is written each attribute;
-  // the softmax below never reads outside it). The opt-in incremental path
-  // additionally carries the first hidden layer across attributes via
-  // embedding deltas — tolerance-equivalent, never default.
-  const bool incremental = config_.incremental_sampling;
+  // Column-sliced output layer, bit-identical to the full Forward (only the
+  // active block of `logits` is written each attribute; the softmax below
+  // never reads outside it).
   int changed_attr = -1;
   for (size_t a = first_attr; a < end_attr; ++a) {
     if (should_stop && should_stop()) return;
-    if (incremental) {
-      ForwardLogitsSliceIncremental(*codes, context, a, changed_attr,
-                                    &logits, scratch);
-    } else {
-      ForwardLogitsSlice(*codes, context, a, changed_attr, &logits, scratch);
-    }
+    ForwardLogitsSlice(*codes, context, a, changed_attr, &logits, scratch);
     changed_attr = static_cast<int>(a);
     const size_t begin = offsets_[a];
     const size_t vocab = static_cast<size_t>(vocab_size(a));

@@ -28,14 +28,6 @@ struct MadeConfig {
   /// The context bypasses the autoregressive masks: it is visible to every
   /// output. SSAR models feed their tree embedding through this input.
   size_t context_dim = 0;
-  /// Opt-in incremental sampling: between consecutive attributes of a
-  /// SampleRange pass, only the just-sampled attribute's embedding changed,
-  /// so the first hidden layer is updated with a delta GEMM
-  /// (h1 += (e_new - e_old) · W1[block]) instead of recomputed. The delta
-  /// accumulates in a different order than a fresh GEMM, so results are
-  /// tolerance-equivalent — NOT bit-identical — to the default sliced path;
-  /// hence off by default (the paper pipeline keeps bit-reproducibility).
-  bool incremental_sampling = false;
 };
 
 /// MADE with per-attribute embeddings (the architecture of [14]/naru [40]
@@ -156,7 +148,7 @@ class MadeModel {
 
   /// Embeds + runs all hidden layers into `scratch`; returns the final
   /// hidden activation. Shared trunk of the const Forward and the sliced
-  /// logits paths (value-identical to the training Forward; the context-free
+  /// logits path (value-identical to the training Forward; the context-free
   /// path fuses bias/relu/residual into the GEMM store phase).
   /// `changed_attr` >= 0 re-gathers only that attribute's embedding block —
   /// valid only when scratch->x0 already embeds `codes` with at most that
@@ -164,33 +156,13 @@ class MadeModel {
   const Matrix* ForwardTrunk(const IntMatrix& codes, const Matrix& context,
                              MadeScratch* scratch,
                              int changed_attr = -1) const;
-  /// Runs hidden layers [start_layer, num_layers) from `prev` (which must
-  /// be the post-activation of layer start_layer - 1).
-  const Matrix* ForwardHiddenFrom(const Matrix* prev, size_t start_layer,
-                                  const Matrix& context,
-                                  MadeScratch* scratch) const;
-  /// Output stage shared by the sliced paths: writes attribute `attr`'s
-  /// logit block (plus the context projection's slice) from the final
-  /// hidden activation.
-  void EmitLogitsSlice(const Matrix& hidden, const Matrix& context,
-                       size_t attr, Matrix* logits,
-                       MadeScratch* scratch) const;
   /// Computes ONLY columns [offsets_[attr], offsets_[attr+1]) of the logits
   /// buffer ([batch x total_vocab]; other columns are left untouched). The
-  /// default sampling path: bit-identical to slicing a full Forward.
+  /// sampling path: bit-identical to slicing a full Forward.
   /// `changed_attr` forwards to ForwardTrunk (same invariant).
   void ForwardLogitsSlice(const IntMatrix& codes, const Matrix& context,
                           size_t attr, int changed_attr, Matrix* logits,
                           MadeScratch* scratch) const;
-  /// Incremental variant (config_.incremental_sampling): `changed_attr` < 0
-  /// runs a cold-start pass that additionally captures the first layer's
-  /// pre-activation in scratch->z1_lin; otherwise only that attribute's
-  /// embedding delta is pushed through the first layer before the upper
-  /// layers run in full. Tolerance-equivalent to ForwardLogitsSlice.
-  void ForwardLogitsSliceIncremental(const IntMatrix& codes,
-                                     const Matrix& context, size_t attr,
-                                     int changed_attr, Matrix* logits,
-                                     MadeScratch* scratch) const;
 
   MadeConfig config_;
   std::vector<size_t> offsets_;  // prefix sums of vocab sizes (n+1 entries)

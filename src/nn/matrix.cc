@@ -54,8 +54,6 @@ using ColsSliceEpiFn = void (*)(const float*, const float*, float*, size_t,
                                 const float*, const float*, int);
 using TransAAccumRowsFn = void (*)(const float*, const float*, float*, size_t,
                                    size_t, size_t, size_t, size_t);
-using RowsAccumFn = void (*)(const float*, const float*, float*, size_t,
-                             size_t, size_t, size_t, size_t);
 using RowMaxFn = float (*)(const float*, size_t);
 
 struct KernelTable {
@@ -65,7 +63,6 @@ struct KernelTable {
   ColsSliceRowsFn matmul_cols_slice_rows;
   ColsSliceEpiFn matmul_cols_slice_epi;
   TransAAccumRowsFn matmul_transa_accum_rows;
-  RowsAccumFn matmul_rows_accum;
   RowMaxFn row_max;
 };
 
@@ -76,14 +73,13 @@ const KernelTable& Kernels() {
                   generic::MatMulColsSliceRowsKernel,
                   generic::MatMulColsSliceEpiKernel,
                   generic::MatMulTransAAccumRowsKernel,
-                  generic::MatMulRowsAccumKernel, generic::RowMaxKernel};
+                  generic::RowMaxKernel};
 #ifdef RESTORE_HAVE_AVX2_VARIANT
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
       t = {avx2::MatMulRowsKernel, avx2::MatMulRowsEpiKernel,
            avx2::MatMulTransBRowsKernel, avx2::MatMulColsSliceRowsKernel,
            avx2::MatMulColsSliceEpiKernel,
-           avx2::MatMulTransAAccumRowsKernel, avx2::MatMulRowsAccumKernel,
-           avx2::RowMaxKernel};
+           avx2::MatMulTransAAccumRowsKernel, avx2::RowMaxKernel};
     }
 #endif
     return t;
@@ -304,26 +300,6 @@ void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
   });
 }
 
-void MatMulRowsAccum(const Matrix& a, const Matrix& b, size_t b_row_begin,
-                     Matrix* out) {
-  assert(b_row_begin + a.cols() <= b.rows());
-  assert(out->rows() == a.rows() && out->cols() == b.cols());
-  const size_t m = a.rows();
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  if (m == 0 || k == 0 || n == 0) return;
-  // Rank-1 updates per output row; rows are independent, so output-row
-  // sharding is deterministic.
-  const auto fn = Kernels().matmul_rows_accum;
-  if (m * n * k < kMinParallelFlops) {
-    fn(a.data(), b.data(), out->data(), 0, m, k, n, b_row_begin);
-    return;
-  }
-  ParallelFor(0, m, RowGrain(m, n * k), [&](size_t lo, size_t hi) {
-    fn(a.data(), b.data(), out->data(), lo, hi, k, n, b_row_begin);
-  });
-}
-
 void MatMulTransAAccum(const Matrix& a, const Matrix& b, Matrix* out) {
   assert(a.rows() == b.rows());
   assert(out->rows() == a.cols() && out->cols() == b.cols());
@@ -384,13 +360,6 @@ void AddInPlaceCols(const Matrix& x, size_t col_begin, size_t col_end,
 float RowMax(const float* p, size_t n) {
   assert(n > 0);
   return Kernels().row_max(p, n);
-}
-
-void ReluInto(const Matrix& x, Matrix* y) {
-  y->Resize(x.rows(), x.cols());
-  const float* RESTORE_RESTRICT xd = x.data();
-  float* RESTORE_RESTRICT yd = y->data();
-  for (size_t i = 0; i < x.size(); ++i) yd[i] = std::max(0.0f, xd[i]);
 }
 
 void ReluInPlace(Matrix* x) {

@@ -156,14 +156,6 @@ void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
                   Matrix* pack_scratch);
 
-/// out += a * b[b_row_begin : b_row_begin + a.cols(), :] — accumulating GEMM
-/// against a contiguous row block of b. This is the incremental-sampling
-/// delta update (h1 += (e_new - e_old) · W1[block]); accumulation into the
-/// existing out values makes its numerics differ from a fresh full GEMM, so
-/// the caller (MadeModel) gates it behind an opt-in config flag.
-void MatMulRowsAccum(const Matrix& a, const Matrix& b, size_t b_row_begin,
-                     Matrix* out);
-
 /// out += a^T * b         [m x k]^T * [m x n] -> [k x n] (accumulating)
 void MatMulTransAAccum(const Matrix& a, const Matrix& b, Matrix* out);
 
@@ -184,11 +176,6 @@ void AddInPlaceCols(const Matrix& x, size_t col_begin, size_t col_end,
 
 /// In-place ReLU; returns mask-applied matrix via dy in BackwardRelu.
 void ReluInPlace(Matrix* x);
-
-/// y = relu(x) in one pass (identical values to copying x into y and calling
-/// ReluInPlace; used by the incremental sampling path, which must keep the
-/// pre-activation around).
-void ReluInto(const Matrix& x, Matrix* y);
 
 /// Vectorized max over p[0..n) (n > 0). Numerically identical to the scalar
 /// std::max left-fold for non-NaN inputs — max is order-independent — with

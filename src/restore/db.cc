@@ -291,6 +291,57 @@ std::shared_ptr<Db::ModelEntry> Db::EntryFor(
   return slot;
 }
 
+std::vector<std::pair<std::string, std::shared_ptr<Db::ModelEntry>>>
+Db::TrainedHeads() const {
+  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> heads;
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  for (const auto& [key, entry] : models_) {
+    if (entry->latch.done_ok() && entry->model != nullptr) {
+      heads.emplace_back(key, entry);
+    }
+  }
+  return heads;
+}
+
+bool Db::PublishHead(const std::string& key,
+                     const std::shared_ptr<ModelEntry>& expected,
+                     const std::shared_ptr<ModelEntry>& fresh) {
+  // Generations cut off the retained chain below; destroyed after every
+  // lock is released (a chain of models may be freed here).
+  std::shared_ptr<ModelEntry> dropped;
+  // Swap order is the whole correctness story: install the new head
+  // FIRST, with publish_epoch one past the current epoch, THEN advance
+  // the epoch. In the window between the two, queries pinned at the old
+  // epoch walk past the new head to their generation; only queries that
+  // pin AFTER the bump see the new one — no query ever mixes. ingest_mu_
+  // serializes against writers so the epoch cannot move underneath the
+  // two-step publication.
+  std::lock_guard<std::mutex> writer(ingest_mu_);
+  {
+    std::lock_guard<std::mutex> reg(registry_mu_);
+    auto it = models_.find(key);
+    if (it == models_.end() || it->second != expected) return false;
+    fresh->publish_epoch = epoch_.load(std::memory_order_relaxed) + 1;
+    fresh->prev = expected;
+    it->second = fresh;
+    // Bound the generation chain kept for old-epoch queries. This rewrites
+    // the `prev` of a node reachable from the just-published head (on every
+    // publication after the first, the cut point IS the former head), so it
+    // must happen under registry_mu_ — the mutex readers hold to walk
+    // `prev` in ModelForPath. Queries that already resolved an older
+    // generation keep it alive through their own shared_ptr.
+    ModelEntry* tail = fresh.get();
+    for (int depth = 1; depth < kMaxChainedGens && tail->prev != nullptr;
+         ++depth) {
+      tail = tail->prev.get();
+    }
+    dropped = std::move(tail->prev);
+  }
+  std::lock_guard<std::mutex> lock(data_mu_);
+  epoch_.fetch_add(1, std::memory_order_release);
+  return true;
+}
+
 std::shared_ptr<const Db::EpochPin> Db::PinnedEpoch(
     const ExecContext* ctx) const {
   if (ctx != nullptr) {
@@ -531,11 +582,7 @@ Result<std::vector<std::string>> Db::SelectedPathFor(
       paths.push_back(c.path);
       models.push_back(c.model.get());
     }
-    std::shared_ptr<const Database> snapshot;
-    {
-      std::lock_guard<std::mutex> lock(data_mu_);
-      snapshot = data_;
-    }
+    const std::shared_ptr<const Database> snapshot = data();
     PathModelConfig probe = config_.model;
     probe.epochs = std::max<size_t>(2, probe.epochs / 3);
     Result<size_t> best =
@@ -627,15 +674,6 @@ Result<Table> Db::CompleteTable(const std::string& target,
 
 Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     const std::vector<std::string>& tables, const ExecContext* ctx) {
-  // Per-query cache policy: kBypass neither reads nor writes, kReadOnly
-  // reads without inserting; both are further gated by the engine-level
-  // enable_cache switch.
-  const CachePolicy policy =
-      ctx != nullptr ? ctx->cache_policy() : CachePolicy::kDefault;
-  const bool cache_read =
-      config_.enable_cache && policy != CachePolicy::kBypass;
-  const bool cache_write =
-      config_.enable_cache && policy == CachePolicy::kDefault;
   ExecStats* stats = ctx != nullptr ? ctx->stats() : nullptr;
   const auto note_lookup = [stats](bool hit) {
     if (stats == nullptr) return;
@@ -661,7 +699,7 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     // Exact-match caching only: projecting a cached superset join would
     // change tuple multiplicities.
     const std::set<std::string> key{tables[0]};
-    if (cache_read) {
+    if (config_.enable_cache) {
       std::shared_ptr<const Table> cached = cache_.GetExact(key, epoch);
       note_lookup(cached != nullptr);
       if (cached != nullptr) return cached;
@@ -669,11 +707,11 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     RESTORE_ASSIGN_OR_RETURN(Table completed, CompleteTable(tables[0], ctx));
     completed.QualifyColumnNames(tables[0]);
     auto result = std::make_shared<const Table>(std::move(completed));
-    if (cache_write) cache_.Put(key, result, epoch);
+    if (config_.enable_cache) cache_.Put(key, result, epoch);
     return result;
   }
   std::set<std::string> table_set(tables.begin(), tables.end());
-  if (cache_read) {
+  if (config_.enable_cache) {
     std::shared_ptr<const Table> cached =
         cache_.GetCovering(table_set, epoch);
     note_lookup(cached != nullptr);
@@ -702,10 +740,10 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
   RESTORE_ASSIGN_OR_RETURN(std::vector<std::string> selected,
                            SelectedPathFor(incomplete[0], ctx));
   // The query-aware re-ranking below is selection work too (it can override
-  // the cached per-table choice), so it lands in selection_seconds.
+  // the cached per-table choice), so it lands in selection_seconds. It reads
+  // only the candidate paths, never their models: the completion below
+  // resolves (and, if need be, trains) the one model of the chosen path.
   Timer ranking_timer;
-  RESTORE_ASSIGN_OR_RETURN(std::vector<Candidate> cands,
-                           CandidatesFor(incomplete[0], ctx));
   auto fanout_penalty = [&](const std::vector<std::string>& p) {
     size_t penalty = 0;
     for (size_t k = 0; k + 1 < p.size(); ++k) {
@@ -718,11 +756,11 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
   };
   std::vector<std::string> path = selected;
   size_t best_penalty = fanout_penalty(selected);
-  for (const auto& cand : cands) {
-    const size_t penalty = fanout_penalty(cand.path);
+  for (const auto& cand : candidates_.at(incomplete[0])) {
+    const size_t penalty = fanout_penalty(cand);
     if (penalty < best_penalty) {
       best_penalty = penalty;
-      path = cand.path;
+      path = cand;
     }
   }
   if (stats != nullptr) {
@@ -771,7 +809,7 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
                            CompleteViaPath(extended, CompletionOptions(),
                                            ctx));
   auto result = std::make_shared<const Table>(std::move(completion.joined));
-  if (cache_write) {
+  if (config_.enable_cache) {
     std::set<std::string> covered(extended.begin(), extended.end());
     cache_.Put(covered, result, epoch);
   }
@@ -906,11 +944,7 @@ Status Db::Append(const std::string& table,
   if (rows.empty()) return Status::OK();
   RESTORE_FAULT_POINT("ingest.validate");
   std::lock_guard<std::mutex> writer(ingest_mu_);
-  std::shared_ptr<const Database> cur;
-  {
-    std::lock_guard<std::mutex> lock(data_mu_);
-    cur = data_;
-  }
+  const std::shared_ptr<const Database> cur = data();
   RESTORE_ASSIGN_OR_RETURN(const Table* existing, cur->GetTable(table));
   (void)existing;
   auto next = std::make_shared<Database>(cur->Clone());
@@ -945,11 +979,7 @@ Status Db::UpdateTable(Table replacement) {
   const std::string table = replacement.name();
   RESTORE_FAULT_POINT("ingest.validate");
   std::lock_guard<std::mutex> writer(ingest_mu_);
-  std::shared_ptr<const Database> cur;
-  {
-    std::lock_guard<std::mutex> lock(data_mu_);
-    cur = data_;
-  }
+  const std::shared_ptr<const Database> cur = data();
   RESTORE_ASSIGN_OR_RETURN(const Table* existing, cur->GetTable(table));
   if (existing->NumColumns() != replacement.NumColumns()) {
     return Status::InvalidArgument(StrFormat(
@@ -1021,11 +1051,7 @@ uint64_t Db::StalenessOf(const ModelEntry& entry) const {
 
 DriftScore Db::DriftOf(const ModelEntry& entry) const {
   if (entry.drift_ref.empty()) return DriftScore();  // unavailable
-  std::shared_ptr<const Database> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(data_mu_);
-    snapshot = data_;
-  }
+  const std::shared_ptr<const Database> snapshot = data();
   return ScoreDrift(entry.drift_ref, *snapshot);
 }
 
@@ -1050,19 +1076,9 @@ bool Db::DueForRefresh(const ModelEntry& entry,
 }
 
 std::vector<ModelInfo> Db::Freshness() const {
-  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> heads;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const auto& [key, entry] : models_) heads.emplace_back(key, entry);
-  }
-  std::shared_ptr<const Database> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(data_mu_);
-    snapshot = data_;
-  }
+  const std::shared_ptr<const Database> snapshot = data();
   std::vector<ModelInfo> out;
-  for (const auto& [key, entry] : heads) {
-    if (!entry->latch.done_ok() || entry->model == nullptr) continue;
+  for (const auto& [key, entry] : TrainedHeads()) {
     ModelInfo info;
     info.path = entry->path;
     info.generation = entry->generation;
@@ -1094,14 +1110,8 @@ std::vector<ModelInfo> Db::Freshness() const {
 
 void Db::ScheduleStaleRefreshes() {
   if (refresh_threads_.empty() || !refresh_policy_.enabled()) return;
-  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> heads;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const auto& [key, entry] : models_) heads.emplace_back(key, entry);
-  }
   std::vector<std::string> due;
-  for (const auto& [key, entry] : heads) {
-    if (!entry->latch.done_ok() || entry->model == nullptr) continue;
+  for (const auto& [key, entry] : TrainedHeads()) {
     // An open breaker means this path just burned through its retry budget;
     // don't re-queue it until the half-open window lets a probe through.
     if (DecideBreaker(key) == BreakerDecision::kFailFast) continue;
@@ -1196,16 +1206,11 @@ Status Db::RefreshModelNow(const std::string& key) {
   const uint64_t next_gen = entry->generation + 1;
   PathModelConfig cfg = config_.model;
   cfg.seed = GenerationSeed(key, next_gen);
-  const PathModel* warm = nullptr;
-  if (refresh_policy_.mode == RefreshPolicy::Mode::kFinetune) {
-    cfg.epochs = refresh_policy_.finetune_epochs;
-    warm = entry->model.get();
-  }
   Status fault = Status::OK();
   if (FaultInjection::Enabled()) fault = FaultInjection::Fire("refresh.train");
   Result<std::unique_ptr<PathModel>> trained =
       fault.ok()
-          ? PathModel::Train(*snapshot, annotation_, entry->path, cfg, warm)
+          ? PathModel::Train(*snapshot, annotation_, entry->path, cfg)
           : Result<std::unique_ptr<PathModel>>(fault);
   entry->refreshing.store(false, std::memory_order_release);
   if (!trained.ok()) {
@@ -1224,45 +1229,9 @@ Status Db::RefreshModelNow(const std::string& key) {
   fresh->rows_at_train = TotalPathRows(*snapshot, entry->path);
   fresh->drift_ref = SummarizeTables(*snapshot, entry->path);
   fresh->train_seconds = fresh->model->train_seconds();
-  fresh->prev = entry;
   fresh->latch.SetDone(Status::OK());
-  // Generations cut off the retained chain below; destroyed after every
-  // lock is released (a chain of models may be freed here).
-  std::shared_ptr<ModelEntry> dropped;
-  {
-    // Swap order is the whole correctness story: install the new head
-    // FIRST, with publish_epoch one past the current epoch, THEN advance
-    // the epoch. In the window between the two, queries pinned at the old
-    // epoch walk past the new head to their generation; only queries that
-    // pin AFTER the bump see the new one — no query ever mixes. ingest_mu_
-    // serializes against writers so the epoch cannot move underneath the
-    // two-step publication.
-    std::lock_guard<std::mutex> writer(ingest_mu_);
-    {
-      std::lock_guard<std::mutex> reg(registry_mu_);
-      auto it = models_.find(key);
-      if (it == models_.end() || it->second != entry) {
-        // Superseded while we trained (entry revived/replaced): drop ours.
-        return Status::OK();
-      }
-      fresh->publish_epoch = epoch_.load(std::memory_order_relaxed) + 1;
-      it->second = fresh;
-      // Bound the generation chain kept for old-epoch queries. This rewrites
-      // the `prev` of a node reachable from the just-published head (on every
-      // refresh after the first, the cut point IS the former head), so it
-      // must happen under registry_mu_ — the mutex readers hold to walk
-      // `prev` in ModelForPath. Queries that already resolved an older
-      // generation keep it alive through their own shared_ptr.
-      ModelEntry* tail = fresh.get();
-      for (int depth = 1; depth < kMaxChainedGens && tail->prev != nullptr;
-           ++depth) {
-        tail = tail->prev.get();
-      }
-      dropped = std::move(tail->prev);
-    }
-    std::lock_guard<std::mutex> lock(data_mu_);
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
+  // Superseded while we trained (entry revived/replaced): drop ours.
+  if (!PublishHead(key, entry, fresh)) return Status::OK();
   models_refreshed_.fetch_add(1, std::memory_order_relaxed);
   generations_retired_.fetch_add(1, std::memory_order_relaxed);
   models_trained_.fetch_add(1, std::memory_order_relaxed);
@@ -1376,14 +1345,8 @@ void Db::RecordTrainingResult(const std::string& key, const Status& status) {
 }
 
 Status Db::RefreshStaleModels() {
-  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> heads;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const auto& [key, entry] : models_) heads.emplace_back(key, entry);
-  }
   Status first = Status::OK();
-  for (const auto& [key, entry] : heads) {
-    if (!entry->latch.done_ok() || entry->model == nullptr) continue;
+  for (const auto& [key, entry] : TrainedHeads()) {
     if (!DueForRefresh(*entry, /*any_staleness_when_unset=*/true)) continue;
     Status s = RefreshModelNow(key);
     if (!s.ok() && first.ok()) first = s;
@@ -1412,13 +1375,7 @@ void Db::StopRefresher() {
 }
 
 Status Db::PerturbModelsForTest(float stddev, uint64_t seed) {
-  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> heads;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const auto& [key, entry] : models_) heads.emplace_back(key, entry);
-  }
-  for (const auto& [key, entry] : heads) {
-    if (!entry->latch.done_ok() || entry->model == nullptr) continue;
+  for (const auto& [key, entry] : TrainedHeads()) {
     // PathModel is not copyable: a Save -> Load roundtrip clones it, then
     // the clone's parameters take the seeded noise (per-path seed so every
     // model is perturbed differently but reproducibly).
@@ -1439,26 +1396,9 @@ Status Db::PerturbModelsForTest(float stddev, uint64_t seed) {
     fresh->loaded_from_disk = entry->loaded_from_disk;
     fresh->drift_ref = entry->drift_ref;
     fresh->latch.SetDone(Status::OK());
-    // Published exactly like a refresh hot swap (see RefreshModelNow):
-    // install the head with publish_epoch one past the current epoch under
-    // ingest_mu_, then bump the epoch — pinned in-flight queries keep the
-    // intact generation through `prev`.
-    std::lock_guard<std::mutex> writer(ingest_mu_);
-    bool installed = false;
-    {
-      std::lock_guard<std::mutex> reg(registry_mu_);
-      auto it = models_.find(key);
-      if (it != models_.end() && it->second == entry) {
-        fresh->publish_epoch = epoch_.load(std::memory_order_relaxed) + 1;
-        fresh->prev = entry;
-        it->second = fresh;
-        installed = true;
-      }
-    }
-    if (installed) {
-      std::lock_guard<std::mutex> lock(data_mu_);
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
+    // Published exactly like a refresh hot swap: pinned in-flight queries
+    // keep the intact generation through `prev`.
+    PublishHead(key, entry, fresh);
   }
   return Status::OK();
 }
@@ -1496,15 +1436,7 @@ Status Db::SaveModelsImpl(const std::string& dir) const {
   // Snapshot the successfully-trained models; training that completes after
   // this point is simply not part of the snapshot. Models are immutable once
   // their latch is done, so serialization needs no further locking.
-  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const auto& [key, entry] : models_) {
-      if (entry->latch.done_ok() && entry->model != nullptr) {
-        snapshot.emplace_back(key, entry);
-      }
-    }
-  }
+  const auto snapshot = TrainedHeads();
 
   // Stage the whole generation in a tmp directory, fsync it, then rename —
   // a crash anywhere in here leaves at worst a gen-N.tmp that the next save
@@ -1645,9 +1577,6 @@ Status Db::LoadGenerationInto(
                     filename.c_str(), PathKey(model->path()).c_str(),
                     key.c_str()));
     }
-    // The arena-retention cap is a serving knob, not part of the persisted
-    // payload: apply this Db's configuration to the restored model.
-    model->set_scratch_pool_max_idle(config_.model.max_pooled_scratch_arenas);
     auto entry = std::make_shared<ModelEntry>();
     entry->path = model->path();
     entry->model = std::shared_ptr<const PathModel>(std::move(model));

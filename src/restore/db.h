@@ -53,18 +53,9 @@ struct EngineConfig {
   uint64_t seed = 1234;
 };
 
-/// When and how the Db retrains models that fell behind ingested data.
+/// When the Db retrains models that fell behind ingested data. A refresh
+/// retrains the model from scratch on the current data (full epochs).
 struct RefreshPolicy {
-  enum class Mode {
-    /// Retrain the model from scratch on the current data (full epochs).
-    kRetrain,
-    /// Warm-start from the previous generation's parameters and run only
-    /// `finetune_epochs` refinement epochs. Falls back to a cold start when
-    /// the ingested data changed the model architecture (new categorical
-    /// values); see PathModel::Train.
-    kFinetune,
-  };
-
   /// What decides that a model fell behind its data.
   enum class Trigger {
     /// Row counting: refresh once staleness_rows_threshold rows were
@@ -85,9 +76,6 @@ struct RefreshPolicy {
   /// background refresher entirely (models still swap via the synchronous
   /// Db::RefreshStaleModels). Ignored under Trigger::kDrift.
   uint64_t staleness_rows_threshold = 0;
-  Mode mode = Mode::kRetrain;
-  /// Refinement epochs of a kFinetune refresh.
-  size_t finetune_epochs = 2;
   /// Background refresher threads == maximum concurrently retraining
   /// models. Queries are never scheduled on these threads.
   size_t max_concurrent_retrains = 1;
@@ -270,11 +258,11 @@ using ResultSetFuture = Future<Result<ResultSet>>;
 ///
 /// Execution control: every execution entry point accepts a QueryOptions —
 /// a cooperative CancellationToken, an absolute deadline, a synthesized-
-/// tuple budget (max_completed_rows), the per-query cache policy, and the
-/// ResultSet batch size. Results stream as a schema-carrying columnar
-/// ResultSet whose ExecStats record parse/plan/sample/aggregate timings,
-/// tuples completed, models consulted, cache hits/misses, and scratch
-/// arenas leased; Db::stats() aggregates them across queries for scraping.
+/// tuple budget (max_completed_rows), and the ResultSet batch size. Results
+/// stream as a schema-carrying columnar ResultSet whose ExecStats record
+/// parse/plan/sample/aggregate timings, tuples completed, models consulted,
+/// cache hits/misses, and scratch arenas leased; Db::stats() aggregates them
+/// across queries for scraping.
 ///
 /// Typical usage:
 ///   RESTORE_ASSIGN_OR_RETURN(auto db, Db::Open(&database, annotation, {}));
@@ -565,6 +553,20 @@ class Db : public std::enable_shared_from_this<Db> {
   std::shared_ptr<ModelEntry> EntryFor(const std::string& key,
                                        const std::vector<std::string>& path);
 
+  /// (path key, head entry) of every registry head whose model trained
+  /// successfully, copied under registry_mu_.
+  std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>>
+  TrainedHeads() const;
+
+  /// Hot-swaps `fresh` in as `key`'s head if the head is still `expected`;
+  /// returns false, publishing nothing, when it was superseded. Under
+  /// ingest_mu_ it installs `fresh` (publish_epoch one past the current
+  /// epoch, `prev` linking to `expected`) and caps the retained chain at
+  /// kMaxChainedGens, THEN advances the epoch. Caller holds no Db mutex.
+  bool PublishHead(const std::string& key,
+                   const std::shared_ptr<ModelEntry>& expected,
+                   const std::shared_ptr<ModelEntry>& fresh);
+
   /// The query's pinned epoch (pins the current one on first touch).
   std::shared_ptr<const EpochPin> PinnedEpoch(const ExecContext* ctx) const;
 
@@ -634,8 +636,8 @@ class Db : public std::enable_shared_from_this<Db> {
   void StopRefresher();
 
   /// Builds the completed join used to answer a query over `tables`,
-  /// applying the cache per the context's cache policy and recording
-  /// hit/miss accounting into its stats.
+  /// reading and writing the completion cache iff EngineConfig::enable_cache
+  /// and recording hit/miss accounting into the context's stats.
   Result<std::shared_ptr<const Table>> CompletedJoinFor(
       const std::vector<std::string>& tables, const ExecContext* ctx);
 

@@ -80,8 +80,7 @@ bool JoinsTable(const Table& joined, const std::string& table) {
 
 Result<std::unique_ptr<PathModel>> PathModel::Train(
     const Database& db, const SchemaAnnotation& annotation,
-    const std::vector<std::string>& path, const PathModelConfig& config,
-    const PathModel* warm_start) {
+    const std::vector<std::string>& path, const PathModelConfig& config) {
   if (path.size() < 2) {
     return Status::InvalidArgument("completion path needs >= 2 tables");
   }
@@ -90,13 +89,12 @@ Result<std::unique_ptr<PathModel>> PathModel::Train(
   model->config_ = config;
   model->annotation_ = annotation;
   model->rng_.Seed(config.seed);
-  model->scratch_pool_.set_max_idle(config.max_pooled_scratch_arenas);
   RESTORE_RETURN_IF_ERROR(model->BuildLayout(db, annotation));
   if (config.use_ssar) {
     RESTORE_RETURN_IF_ERROR(model->SetupSsar(db));
   }
   RESTORE_RETURN_IF_ERROR(model->BuildTrainingData(db));
-  RESTORE_RETURN_IF_ERROR(model->RunTraining(warm_start));
+  RESTORE_RETURN_IF_ERROR(model->RunTraining());
   model->BuildTfPosteriorTables();
   return model;
 }
@@ -475,7 +473,7 @@ Result<std::vector<ChildBatch>> PathModel::BuildChildBatches(
   return out;
 }
 
-Status PathModel::RunTraining(const PathModel* warm_start) {
+Status PathModel::RunTraining() {
   Timer timer;
   MadeConfig made_config;
   made_config.vocab_sizes.reserve(attrs_.size());
@@ -502,30 +500,6 @@ Status PathModel::RunTraining(const PathModel* warm_start) {
   if (deep_sets_ != nullptr) deep_sets_->CollectParams(&params);
   num_parameters_ = 0;
   for (Param* p : params) num_parameters_ += p->value.size();
-
-  // Warm start (fine-tune refresh): seed the freshly initialized networks
-  // with the previous generation's learned parameters. Only valid when the
-  // architectures line up exactly — same param count and per-param shapes —
-  // which holds for appends that introduce no new categorical values. Any
-  // mismatch means the layout drifted; fall back to the cold init already in
-  // place rather than copying garbage.
-  if (warm_start != nullptr && warm_start->made_ != nullptr) {
-    std::vector<Param*> old_params;
-    warm_start->made_->CollectParams(&old_params);
-    if (warm_start->deep_sets_ != nullptr) {
-      warm_start->deep_sets_->CollectParams(&old_params);
-    }
-    bool shapes_match = old_params.size() == params.size();
-    for (size_t i = 0; shapes_match && i < params.size(); ++i) {
-      shapes_match = old_params[i]->value.rows() == params[i]->value.rows() &&
-                     old_params[i]->value.cols() == params[i]->value.cols();
-    }
-    if (shapes_match) {
-      for (size_t i = 0; i < params.size(); ++i) {
-        params[i]->value = old_params[i]->value;
-      }
-    }
-  }
 
   AdamOptions opts;
   opts.learning_rate = config_.learning_rate;

@@ -50,12 +50,6 @@ struct PathModelConfig {
   double test_fraction = 0.1;
   size_t max_train_rows = 60000;
   uint64_t seed = 17;
-
-  // Serving. Max idle inference scratch arenas pooled per model (excess
-  // leases allocate-and-free); 0 = unbounded. Does not affect training or
-  // results, so it participates in neither the engine fingerprint nor the
-  // persisted model payload.
-  size_t max_pooled_scratch_arenas = 8;
 };
 
 /// One attribute of the autoregressive ordering.
@@ -81,25 +75,16 @@ struct PathAttr {
 class PathModel {
  public:
   /// Builds and trains a model for `path` (ordered: evidence first, the
-  /// table(s) to complete last) over the available data in `db`.
-  ///
-  /// `warm_start` (optional) fine-tunes instead of training from scratch:
-  /// when the old model's parameter shapes match the new layout (same
-  /// attribute set and vocabulary sizes — appends of in-vocabulary rows),
-  /// its learned parameters seed the optimizer and `config.epochs` is the
-  /// number of REFINEMENT epochs. A shape mismatch (new categorical values,
-  /// schema drift) silently falls back to cold-start training under the
-  /// same config, so the call never fails just because warm starting is
-  /// impossible. Deterministic either way: the result is a pure function of
-  /// (data, config, warm-start parameters).
+  /// table(s) to complete last) over the available data in `db`. Always
+  /// trains from a fresh initialization, so the result is a pure function
+  /// of (data, config).
   ///
   /// Serving callers should prefer Db::ModelForPath, which adds exactly-once
   /// lazy training, generation tracking, and RCU hot-swap; direct Train is
   /// for offline evaluation harnesses that measure training itself.
   static Result<std::unique_ptr<PathModel>> Train(
       const Database& db, const SchemaAnnotation& annotation,
-      const std::vector<std::string>& path, const PathModelConfig& config,
-      const PathModel* warm_start = nullptr);
+      const std::vector<std::string>& path, const PathModelConfig& config);
 
   /// Serializes the trained model: config, attribute layout, discretizer
   /// bins, training marginals, and every learned parameter (embedding
@@ -223,12 +208,6 @@ class PathModel {
                                          const ExecContext* ctx = nullptr)
       const;
 
-  /// Reconfigures the inference scratch pool's idle-arena retention cap
-  /// (EngineConfig::model.max_pooled_scratch_arenas; applied by the Db at
-  /// train/load time). Excess leases still succeed, they just don't pool.
-  void set_scratch_pool_max_idle(size_t max_idle) const {
-    scratch_pool_.set_max_idle(max_idle);
-  }
   /// The model's scratch pool (introspection: idle/total_leases/dropped).
   const InferenceScratchPool& scratch_pool() const { return scratch_pool_; }
 
@@ -252,9 +231,8 @@ class PathModel {
   Status BuildLayout(const Database& db, const SchemaAnnotation& annotation);
   Status BuildTrainingData(const Database& db);
   Status SetupSsar(const Database& db);
-  /// Runs the optimizer loop. `warm_start` (may be null) seeds parameters
-  /// from a previous generation when shapes match; see Train.
-  Status RunTraining(const PathModel* warm_start);
+  /// Builds the networks and runs the optimizer loop.
+  Status RunTraining();
 
   /// Builds deep-sets child batches for evidence key values. During
   /// training, `exclude_child_pk[i]` (if non-null) removes the child row with

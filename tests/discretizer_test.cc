@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "datagen/synthetic.h"
+#include "exec/result_set.h"
 #include "metrics/metrics.h"
 #include "restore/discretizer.h"
 #include "restore/tuple_factor.h"
@@ -162,16 +163,28 @@ TEST(MetricsTest, CardinalityCorrectionFormula) {
   EXPECT_DOUBLE_EQ(CardinalityCorrection(100, 100, 100), 1.0);
 }
 
+// A one-aggregate ResultSet over `groups`, keyed by `group_by`.
+ResultSet MakeResult(std::vector<std::string> group_by, QueryResult groups) {
+  Query query;
+  query.aggregates.push_back({AggregateFunc::kAvg, "t.v"});
+  query.group_by = std::move(group_by);
+  return ResultSet::Build(query, std::move(groups), ExecStats(),
+                          /*batch_rows=*/256);
+}
+
 TEST(MetricsTest, AverageRelativeErrorHandlesMissingGroups) {
   QueryResult truth;
   truth.groups[{"a"}] = {10.0};
   truth.groups[{"b"}] = {20.0};
   QueryResult est;
   est.groups[{"a"}] = {15.0};  // 50% error; group b missing -> error 1.
-  EXPECT_NEAR(AverageRelativeError(truth, est), (0.5 + 1.0) / 2.0, 1e-12);
+  const ResultSet truth_rs = MakeResult({"t.g"}, truth);
+  EXPECT_NEAR(AverageRelativeError(truth_rs, MakeResult({"t.g"}, est)),
+              (0.5 + 1.0) / 2.0, 1e-12);
   // Estimate-only groups are ignored (truth has no such group).
   est.groups[{"c"}] = {5.0};
-  EXPECT_NEAR(AverageRelativeError(truth, est), (0.5 + 1.0) / 2.0, 1e-12);
+  EXPECT_NEAR(AverageRelativeError(truth_rs, MakeResult({"t.g"}, est)),
+              (0.5 + 1.0) / 2.0, 1e-12);
 }
 
 TEST(MetricsTest, RelativeErrorImprovementIsDifference) {
@@ -181,7 +194,9 @@ TEST(MetricsTest, RelativeErrorImprovementIsDifference) {
   incomplete.groups[{}] = {50.0};
   QueryResult completed;
   completed.groups[{}] = {90.0};
-  EXPECT_NEAR(RelativeErrorImprovement(truth, incomplete, completed),
+  EXPECT_NEAR(RelativeErrorImprovement(MakeResult({}, truth),
+                                       MakeResult({}, incomplete),
+                                       MakeResult({}, completed)),
               0.5 - 0.1, 1e-12);
 }
 

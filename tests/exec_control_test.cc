@@ -1,5 +1,5 @@
 // Tests of the execution-control surface: CancellationToken, deadlines,
-// max_completed_rows budgets, cache policies, per-query ExecStats, and the
+// max_completed_rows budgets, the cache switch, per-query ExecStats, and the
 // aggregated Db::Stats — the QueryOptions/ResultSet redesign of the
 // Db/Session API.
 
@@ -209,40 +209,38 @@ TEST(ExecControlTest, MaxCompletedRowsBudgetIsEnforced) {
   EXPECT_EQ(fits->stats().tuples_completed, needed);
 }
 
-TEST(ExecControlTest, CachePolicyBypassAndReadOnly) {
-  Database incomplete = MakeIncompleteSynthetic(511);
-  auto db = OpenSynthetic(&incomplete);  // cache enabled (default)
-  Session session = db->CreateSession();
+TEST(ExecControlTest, CacheSwitchGatesReadsAndWrites) {
+  // Cache off: no completed-join query reads or writes the cache.
+  Database uncached_data = MakeIncompleteSynthetic(511);
+  EngineConfig off = FastConfig();
+  off.enable_cache = false;
+  auto uncached_db = OpenSynthetic(&uncached_data, off);
+  Session uncached = uncached_db->CreateSession();
+  auto u1 = uncached.Execute(kJoinSql);
+  ASSERT_TRUE(u1.ok()) << u1.status();
+  auto u2 = uncached.Execute(kJoinSql);
+  ASSERT_TRUE(u2.ok()) << u2.status();
+  for (const ResultSet* rs : {&*u1, &*u2}) {
+    EXPECT_EQ(rs->stats().cache_hits, 0u);
+    EXPECT_EQ(rs->stats().cache_misses, 0u);
+  }
+  EXPECT_EQ(uncached_db->cache().size(), 0u);
 
-  // kBypass never reads nor writes: two bypass runs, still nothing cached.
-  QueryOptions bypass;
-  bypass.cache_policy = CachePolicy::kBypass;
-  auto b1 = session.Execute(kJoinSql, bypass);
-  ASSERT_TRUE(b1.ok()) << b1.status();
-  EXPECT_EQ(b1->stats().cache_hits + b1->stats().cache_misses, 0u);
-  EXPECT_EQ(db->cache().size(), 0u);
-
-  // kReadOnly reads but never inserts.
-  QueryOptions read_only;
-  read_only.cache_policy = CachePolicy::kReadOnly;
-  auto r1 = session.Execute(kJoinSql, read_only);
-  ASSERT_TRUE(r1.ok()) << r1.status();
-  EXPECT_GT(r1->stats().cache_misses, 0u);
-  EXPECT_EQ(db->cache().size(), 0u) << "read-only must not populate";
-
-  // Default policy populates; the next default run hits.
-  auto d1 = session.Execute(kJoinSql);
-  ASSERT_TRUE(d1.ok()) << d1.status();
-  EXPECT_GT(db->cache().size(), 0u);
-  auto d2 = session.Execute(kJoinSql);
-  ASSERT_TRUE(d2.ok()) << d2.status();
-  EXPECT_GT(d2->stats().cache_hits, 0u);
-  EXPECT_EQ(*d2, *d1);
-
-  // And a read-only run now hits too.
-  auto r2 = session.Execute(kJoinSql, read_only);
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_GT(r2->stats().cache_hits, 0u);
+  // Cache on (the default): the first run misses and fills the cache, the
+  // second hits, and both answer exactly like the uncached Db.
+  Database cached_data = MakeIncompleteSynthetic(511);
+  auto cached_db = OpenSynthetic(&cached_data);
+  Session cached = cached_db->CreateSession();
+  auto c1 = cached.Execute(kJoinSql);
+  ASSERT_TRUE(c1.ok()) << c1.status();
+  EXPECT_EQ(c1->stats().cache_hits, 0u);
+  EXPECT_GT(c1->stats().cache_misses, 0u);
+  EXPECT_GT(cached_db->cache().size(), 0u);
+  auto c2 = cached.Execute(kJoinSql);
+  ASSERT_TRUE(c2.ok()) << c2.status();
+  EXPECT_GT(c2->stats().cache_hits, 0u);
+  EXPECT_EQ(*c1, *u1);
+  EXPECT_EQ(*c2, *u1);
 }
 
 TEST(ExecControlTest, ExecStatsBreakDownThePipeline) {

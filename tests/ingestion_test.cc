@@ -270,26 +270,6 @@ TEST(IngestionTest, RefreshedGenerationIsDeterministic) {
   EXPECT_EQ(Flatten(*r_a), Flatten(*r_b));
 }
 
-TEST(IngestionTest, FinetunePolicyRefreshesWithWarmStart) {
-  Database incomplete = MakeIncompleteSynthetic(513);
-  RefreshPolicy policy;
-  policy.mode = RefreshPolicy::Mode::kFinetune;
-  policy.finetune_epochs = 2;
-  auto db = Db::Open(&incomplete, Annotation(),
-                     DbOptions().WithEngine(FastConfig()).WithRefreshPolicy(
-                         policy));
-  ASSERT_TRUE(db.ok());
-  auto before = (*db)->ExecuteCompletedSql(kCountByB);
-  ASSERT_TRUE(before.ok());
-
-  ASSERT_TRUE((*db)->Append("table_b", MakeRows(10, 940000, "novel")).ok());
-  ASSERT_TRUE((*db)->RefreshStaleModels().ok());
-  for (const ModelInfo& info : (*db)->Freshness()) {
-    EXPECT_EQ(info.generation, 2u);
-  }
-  EXPECT_TRUE((*db)->ExecuteCompletedSql(kCountByB).ok());
-}
-
 TEST(IngestionTest, BackgroundRefresherRetrainsWhenThresholdCrossed) {
   Database incomplete = MakeIncompleteSynthetic(515);
   RefreshPolicy policy;

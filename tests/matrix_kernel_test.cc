@@ -239,8 +239,7 @@ TEST(MatrixKernelConformance, MatMulFusedMatchesSeparatePassesBitExact) {
 // Packed-B MatMulTransB: the 3-arg overload (thread-local pack buffer) and
 // the caller-scratch overload must agree bitwise, and shapes on both sides
 // of the pack threshold must match naive within tolerance (covered above);
-// here we pin pack-vs-scratch equivalence and the accumulate-into-row-block
-// kernel used by incremental sampling.
+// here we pin pack-vs-scratch equivalence.
 TEST(MatrixKernelConformance, PackedTransBScratchOverloadMatches) {
   Rng rng(707);
   const struct { size_t m, k, n; } shapes[] = {
@@ -262,32 +261,6 @@ TEST(MatrixKernelConformance, PackedTransBScratchOverloadMatches) {
     Matrix want;
     NaiveMatMulTransB(a, b, &want);
     ExpectNear(got_scratch, want, "MatMulTransB(packed)", sh.m, sh.k, sh.n);
-  }
-}
-
-TEST(MatrixKernelConformance, MatMulRowsAccumMatchesNaive) {
-  Rng rng(808);
-  const struct { size_t m, k, n, row0, brows; } shapes[] = {
-      {0, 4, 8, 0, 8},   // empty batch
-      {5, 1, 3, 2, 6},   // 1-wide delta
-      {64, 8, 64, 16, 40},  // the incremental-sampling shape
-      {33, 7, 65, 5, 20}};
-  for (const auto& sh : shapes) {
-    Matrix a = RandomMatrix(sh.m, sh.k, rng);
-    Matrix b = RandomMatrix(sh.brows, sh.n, rng);
-    Matrix got = RandomMatrix(sh.m, sh.n, rng);  // accumulate semantics
-    Matrix want = got;
-    MatMulRowsAccum(a, b, sh.row0, &got);
-    for (size_t i = 0; i < sh.m; ++i) {
-      for (size_t j = 0; j < sh.n; ++j) {
-        float acc = want.at(i, j);
-        for (size_t p = 0; p < sh.k; ++p) {
-          acc += a.at(i, p) * b.at(sh.row0 + p, j);
-        }
-        want.at(i, j) = acc;
-      }
-    }
-    ExpectNear(got, want, "MatMulRowsAccum", sh.m, sh.k, sh.n);
   }
 }
 

@@ -119,18 +119,17 @@ TEST(ThreadDeterminismTest, TrainingAndSamplingIdenticalAt1And4Threads) {
   }
 }
 
-// The sliced sampling fast path (now the DEFAULT SampleRange) and the
-// opt-in incremental delta path must both be bit-identical across thread
-// counts: the sliced output-layer GEMM, the fused hidden trunk, the partial
-// embedding re-gather, and the delta update all shard with shape-only
-// grains. (CI's TSan job runs this binary repeatedly, so the sliced path is
-// also raced for data coherence.)
+// The sliced sampling path (SampleRange) must be bit-identical across thread
+// counts: the sliced output-layer GEMM, the fused hidden trunk and the
+// partial embedding re-gather all shard with shape-only grains. (CI's TSan
+// job runs this binary repeatedly, so the sliced path is also raced for data
+// coherence.)
 struct SampleOnlyResult {
   std::vector<int32_t> samples;
   std::vector<float> probs;
 };
 
-SampleOnlyResult SampleSliced(uint64_t seed, bool incremental) {
+SampleOnlyResult SampleSliced(uint64_t seed) {
   Rng rng(seed);
   MadeConfig config;
   // A wide attribute forces multi-shard row blocks (see TrainAndSample).
@@ -138,7 +137,6 @@ SampleOnlyResult SampleSliced(uint64_t seed, bool incremental) {
   config.embed_dim = 6;
   config.hidden_dim = 40;
   config.num_layers = 2;
-  config.incremental_sampling = incremental;
   MadeModel made(config, rng);
   made.FinalizeForInference();
 
@@ -159,23 +157,19 @@ SampleOnlyResult SampleSliced(uint64_t seed, bool incremental) {
 }
 
 TEST(ThreadDeterminismTest, SlicedSamplingIdenticalAt1And4Threads) {
-  for (const bool incremental : {false, true}) {
-    ThreadPool::SetGlobalWidth(1);
-    const SampleOnlyResult single = SampleSliced(7, incremental);
-    ThreadPool::SetGlobalWidth(4);
-    const SampleOnlyResult quad = SampleSliced(7, incremental);
-    ThreadPool::SetGlobalWidth(0);
+  ThreadPool::SetGlobalWidth(1);
+  const SampleOnlyResult single = SampleSliced(7);
+  ThreadPool::SetGlobalWidth(4);
+  const SampleOnlyResult quad = SampleSliced(7);
+  ThreadPool::SetGlobalWidth(0);
 
-    ASSERT_EQ(single.samples.size(), quad.samples.size());
-    for (size_t i = 0; i < single.samples.size(); ++i) {
-      ASSERT_EQ(single.samples[i], quad.samples[i])
-          << "sample " << i << " incremental=" << incremental;
-    }
-    ASSERT_EQ(single.probs.size(), quad.probs.size());
-    for (size_t i = 0; i < single.probs.size(); ++i) {
-      ASSERT_EQ(single.probs[i], quad.probs[i])
-          << "recorded prob " << i << " incremental=" << incremental;
-    }
+  ASSERT_EQ(single.samples.size(), quad.samples.size());
+  for (size_t i = 0; i < single.samples.size(); ++i) {
+    ASSERT_EQ(single.samples[i], quad.samples[i]) << "sample " << i;
+  }
+  ASSERT_EQ(single.probs.size(), quad.probs.size());
+  for (size_t i = 0; i < single.probs.size(); ++i) {
+    ASSERT_EQ(single.probs[i], quad.probs[i]) << "recorded prob " << i;
   }
 }
 
