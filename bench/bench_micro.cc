@@ -115,10 +115,10 @@ void BM_MadeSample(benchmark::State& state) {
 BENCHMARK(BM_MadeSample)->Arg(64)->Arg(512);
 
 // Sampling on a WIDE-output model (total_vocab = 1024 vs the active block's
-// 64-512): the column-sliced output layer pays for one attribute's logit
-// block per pass instead of the whole vocabulary, so this shape shows the
-// slicing win at its intended scale (≈ total_vocab / vocab(a) of the
-// out-layer work). Gated by check_bench_json.py.
+// 64-512): each attribute computes only its own logit block, never the
+// whole vocabulary, so this shape is dominated by the logit block and the
+// softmax/pick over it rather than by the hidden units (each computed once
+// per call). Gated by check_bench_json.py.
 void BM_MadeSampleSliced(benchmark::State& state) {
   Rng rng(6);
   MadeConfig config;
@@ -139,9 +139,10 @@ void BM_MadeSampleSliced(benchmark::State& state) {
 }
 BENCHMARK(BM_MadeSampleSliced)->Arg(64)->Arg(512);
 
-// One attribute's sampling pass (trunk forward + sliced logits + softmax +
-// inverse-CDF pick) — the unit cost of the autoregressive completion loop,
-// per attribute index of the BM_MadeSample model.
+// A one-attribute SampleRange call (the hidden units of degree < attr, that
+// attribute's logit block, softmax + inverse-CDF pick), per attribute index
+// of the BM_MadeSample model. A call that starts at attr pays for every
+// unit below it at once; a multi-attribute call adds one degree per step.
 void BM_MadeSampleAttr(benchmark::State& state) {
   Rng rng(8);
   MadeConfig config;
@@ -162,6 +163,63 @@ void BM_MadeSampleAttr(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_MadeSampleAttr)->Arg(1)->Arg(4)->ArgName("attr");
+
+// The served shape: perfbench's engine config (embed 4, hidden 24, 2
+// layers) at D = 12, the width most of its SampleRange calls see, with
+// vocab 12 per attribute and 768 rows (a typical hop). BM_MadeSampleHop
+// samples the hop's target attributes [8, 12) as SynthesizeHop does;
+// BM_MadePredictTf predicts attribute 7, the tuple factor before them, as
+// SampleTupleFactors does. Gated by check_bench_json.py.
+MadeModel ServedShapeModel(Rng& rng) {
+  MadeConfig config;
+  config.vocab_sizes.assign(12, 12);
+  config.embed_dim = 4;
+  config.hidden_dim = 24;
+  config.num_layers = 2;
+  MadeModel made(config, rng);
+  made.FinalizeForInference();
+  return made;
+}
+
+IntMatrix ServedShapeEvidence(size_t rows, Rng& rng) {
+  IntMatrix codes(rows, 12, 0);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t a = 0; a < 8; ++a) {
+      codes.at(r, a) = static_cast<int32_t>(rng.NextUint64(12));
+    }
+  }
+  return codes;
+}
+
+void BM_MadeSampleHop(benchmark::State& state) {
+  Rng rng(12);
+  const MadeModel made = ServedShapeModel(rng);
+  IntMatrix codes = ServedShapeEvidence(768, rng);
+  MadeScratch scratch;
+  for (auto _ : state) {
+    made.SampleRange(&codes, Matrix(), 8, 12, rng, /*record_attr=*/-1,
+                     /*recorded=*/nullptr, &scratch);
+    benchmark::DoNotOptimize(codes.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 768);
+}
+BENCHMARK(BM_MadeSampleHop);
+
+void BM_MadePredictTf(benchmark::State& state) {
+  Rng rng(13);
+  const MadeModel made = ServedShapeModel(rng);
+  const IntMatrix codes = ServedShapeEvidence(768, rng);
+  MadeScratch scratch;
+  Matrix probs;
+  for (auto _ : state) {
+    made.PredictDistribution(codes, Matrix(), 7, &probs, &scratch);
+    benchmark::DoNotOptimize(probs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 768);
+}
+BENCHMARK(BM_MadePredictTf);
 
 // One fused Adam step over a realistic parameter set (the BM_MadeForward/64
 // model, ~13.8k scalars): weight decay and both bias corrections fold into

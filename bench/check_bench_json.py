@@ -60,6 +60,8 @@ DEFAULT_METRICS_BY_FILE = {
         "BM_MadeForward/256",
         "BM_MadeSample/512",
         "BM_MadeSampleSliced/512",
+        "BM_MadeSampleHop",
+        "BM_MadePredictTf",
         "BM_ConcurrentInference",
         "BM_DbQps",
         "BM_IngestRefresh",

@@ -48,21 +48,6 @@ void EmbeddingSet::ForwardInference(const IntMatrix& codes,
   });
 }
 
-void EmbeddingSet::ForwardInferenceColumn(const IntMatrix& codes, size_t attr,
-                                          Matrix* out) const {
-  assert(attr < tables_.size());
-  assert(out->rows() == codes.rows() && out->cols() == output_dim());
-  const Matrix& table = tables_[attr].value;
-  const size_t block = attr * embed_dim_;
-  const size_t row_bytes = embed_dim_ * sizeof(float);
-  for (size_t r = 0; r < codes.rows(); ++r) {
-    const int32_t code = codes.at(r, attr);
-    assert(code >= 0 && code < static_cast<int32_t>(table.rows()));
-    std::memcpy(out->row(r) + block, table.row(static_cast<size_t>(code)),
-                row_bytes);
-  }
-}
-
 void EmbeddingSet::Backward(const Matrix& dout) {
   assert(dout.rows() == codes_cache_.rows());
   assert(dout.cols() == output_dim());

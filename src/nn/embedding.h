@@ -35,14 +35,9 @@ class EmbeddingSet {
   /// threads may embed batches through one table set concurrently.
   void ForwardInference(const IntMatrix& codes, Matrix* out) const;
 
-  /// Re-gathers ONLY attribute `attr`'s embedding block into an already
-  /// embedded batch. `out` must hold the embedding of `codes` with at most
-  /// column `attr` changed since it was produced — then the result is
-  /// byte-identical to a full ForwardInference (pure copy, no arithmetic).
-  /// The sampling loop uses this between consecutive attributes, where
-  /// exactly one column changes.
-  void ForwardInferenceColumn(const IntMatrix& codes, size_t attr,
-                              Matrix* out) const;
+  /// Attribute `attr`'s [vocab x embed_dim] table (read-only; the MADE
+  /// sampling path gathers from it directly into its unit-major input).
+  const Matrix& table(size_t attr) const { return tables_[attr].value; }
 
   /// Scatter-adds `dout` into the embedding-table gradients (uses the codes
   /// from the last Forward call).

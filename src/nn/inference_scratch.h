@@ -12,19 +12,26 @@ namespace restore {
 
 /// Per-call activation/workspace buffers of one MadeModel inference pass.
 /// The model itself is immutable during inference (see src/nn/README.md
-/// "Consumers"); every mutable byte a forward pass touches lives here, so
-/// any number of threads can run passes over ONE model concurrently as long
-/// as each brings its own scratch. Buffers use the shape-preserving
-/// Matrix::Resize, so a scratch reused against the same model allocates
-/// nothing at steady state.
+/// "Consumers"); every mutable byte a pass touches lives here, so any number
+/// of threads can run passes over ONE model concurrently as long as each
+/// brings its own scratch.
+///
+/// The activations are unit-major: unit i's value for batch row r lives at
+/// [i * ld + r], with `ld` the call's batch size rounded up to 16. They are
+/// valid only within one SampleRange/PredictDistribution call, which
+/// computes each hidden unit once and reads it back at later attributes;
+/// no call reads what an earlier call left. The buffers grow and are never
+/// cleared (a call writes every element before reading it), so a scratch
+/// reused against the same model allocates nothing at steady state.
 struct MadeScratch {
-  Matrix x0;                 // embedded input
-  std::vector<Matrix> relu;  // relu(z_l) per layer
-  std::vector<Matrix> h;     // post-residual activation per layer (l >= 1)
-  Matrix ctx;                // per-layer context projection
-  Matrix ctx_out;            // output-layer context projection
-  Matrix logits;             // SampleRange/PredictDistribution logits buffer
-  std::vector<double> u;     // SampleRange pre-drawn uniforms
+  size_t ld = 0;                   // row stride of the unit-major buffers
+  std::vector<float> embedded;     // [num_attrs*embed_dim x ld] MADE input
+  std::vector<float> hidden;       // [num_layers*hidden_dim x ld] h_l
+  std::vector<float> context;      // [context_dim x ld] transposed context
+  std::vector<float> terms;        // [outputs x ld] a panel's context terms
+  std::vector<float> logit_block;  // [vocab x ld] one attribute's logits
+  std::vector<float> logit_rows;   // [ld x vocab] row-major, for the pick
+  std::vector<double> u;           // SampleRange pre-drawn uniforms
 };
 
 /// Per-call workspace of one DeepSetsEncoder inference pass. Child tables

@@ -1,6 +1,5 @@
 #include "nn/layers.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace restore {
@@ -26,13 +25,7 @@ void Dense::Forward(const Matrix& x, Matrix* y, bool cache_input) {
 }
 
 void Dense::ForwardInference(const Matrix& x, Matrix* y) const {
-  MatMulFused(x, w_.value, &b_.value, /*relu=*/false, /*residual=*/nullptr,
-              y);
-}
-
-void Dense::ForwardInferenceSlice(const Matrix& x, size_t col_begin,
-                                  size_t col_end, Matrix* y) const {
-  MatMulColsSliceBias(x, w_.value, b_.value, col_begin, col_end, y);
+  MatMulFused(x, w_.value, &b_.value, y);
 }
 
 void Dense::Backward(const Matrix& dy, Matrix* dx) {
@@ -65,25 +58,6 @@ void MaskedDense::Forward(const Matrix& x, Matrix* y, bool cache_input) {
   RefreshMaskedWeights();
   MatMul(x, masked_w_, y);
   AddBiasRows(b_.value, y);
-}
-
-void MaskedDense::ForwardInference(const Matrix& x, Matrix* y) const {
-  assert(masked_w_.rows() == mask_.rows() && masked_w_.cols() == mask_.cols());
-  MatMulFused(x, masked_w_, &b_.value, /*relu=*/false, /*residual=*/nullptr,
-              y);
-}
-
-void MaskedDense::ForwardInferenceFused(const Matrix& x, bool relu,
-                                        const Matrix* residual,
-                                        Matrix* y) const {
-  assert(masked_w_.rows() == mask_.rows() && masked_w_.cols() == mask_.cols());
-  MatMulFused(x, masked_w_, &b_.value, relu, residual, y);
-}
-
-void MaskedDense::ForwardInferenceSlice(const Matrix& x, size_t col_begin,
-                                        size_t col_end, Matrix* y) const {
-  assert(masked_w_.rows() == mask_.rows() && masked_w_.cols() == mask_.cols());
-  MatMulColsSliceBias(x, masked_w_, b_.value, col_begin, col_end, y);
 }
 
 void MaskedDense::Backward(const Matrix& dy, Matrix* dx) {

@@ -42,13 +42,6 @@ class Dense {
   /// Reentrant inference forward: touches no member state, so any number of
   /// threads may call it concurrently on one layer.
   void ForwardInference(const Matrix& x, Matrix* y) const;
-  /// Column-sliced reentrant inference forward: resizes y to
-  /// [batch x out_dim] but computes ONLY columns [col_begin, col_end) — each
-  /// bit-identical to the full ForwardInference (see MatMulColsSlice). The
-  /// sampling output layer uses this to pay for one attribute's logit block
-  /// instead of the whole vocabulary.
-  void ForwardInferenceSlice(const Matrix& x, size_t col_begin,
-                             size_t col_end, Matrix* y) const;
   /// Accumulates dW, db; writes dx (same shape as the cached x).
   void Backward(const Matrix& dy, Matrix* dx);
   /// Backward variant that skips computing dx (for the first layer).
@@ -82,30 +75,20 @@ class MaskedDense {
   MaskedDense(Matrix mask, Rng& rng);
 
   void Forward(const Matrix& x, Matrix* y, bool cache_input = true);
-  /// Reentrant inference forward over the cached effective weight (W * M).
-  /// Requires RefreshMaskedWeights() after the last parameter update (the
-  /// training Forward refreshes it as a side effect); touches no member
-  /// state itself, so concurrent calls on one layer are safe.
-  void ForwardInference(const Matrix& x, Matrix* y) const;
-  /// Column-sliced reentrant inference forward (see Dense); operates on the
-  /// frozen effective weight, so the same RefreshMaskedWeights contract
-  /// applies.
-  void ForwardInferenceSlice(const Matrix& x, size_t col_begin,
-                             size_t col_end, Matrix* y) const;
-  /// Fused reentrant inference forward: y = relu(x (W*M) + b) [+ residual],
-  /// the whole epilogue applied in the kernel store phase. Bit-identical to
-  /// ForwardInference + ReluInPlace + AddInPlace (see MatMulFused); the MADE
-  /// hidden trunk uses it to skip three activation sweeps per layer.
-  void ForwardInferenceFused(const Matrix& x, bool relu,
-                             const Matrix* residual, Matrix* y) const;
   void Backward(const Matrix& dy, Matrix* dx);
   void BackwardNoInputGrad(const Matrix& dy);
 
   /// Recomputes the cached effective weight (W * M). Must be called after
   /// the optimizer's final step (or after loading parameters) and before
-  /// ForwardInference — the optimizer mutates W through CollectParams
-  /// pointers, which this layer cannot observe.
+  /// masked_weight() is read for inference — the optimizer mutates W
+  /// through CollectParams pointers, which this layer cannot observe.
   void RefreshMaskedWeights();
+
+  /// The effective weight W * M as of the last RefreshMaskedWeights (the
+  /// training Forward refreshes it too), and the bias. MadeModel builds its
+  /// inference tables from these.
+  const Matrix& masked_weight() const { return masked_w_; }
+  const Matrix& bias_value() const { return b_.value; }
 
   void CollectParams(std::vector<Param*>* params) {
     params->push_back(&w_);

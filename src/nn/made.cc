@@ -49,6 +49,33 @@ void SoftmaxCrossEntropySlice(const Matrix& logits, const IntMatrix& targets,
   *loss_out = loss * inv_batch;
 }
 
+// Row-block grain of the inference path. A block runs every layer and the
+// logit block while its unit-major slices stay cache-resident; the grain is
+// shape-only, so shard boundaries never depend on the thread count.
+constexpr size_t kSampleRowBlock = 128;
+
+// Grow-only arena sizing: a call writes every element before reading it,
+// so a buffer is never cleared, only extended when a larger batch arrives.
+float* Reserve(std::vector<float>* buf, size_t n) {
+  if (buf->size() < n) buf->resize(n);
+  return buf->data();
+}
+
+// Copies rows [lo, hi) of a unit-major [vocab x ld] logit block into the
+// row-major `rows` ([batch x vocab]) that the softmax walks. Sixteen rows
+// at a time, so each unit-major line is read once, whole, even when a wide
+// vocabulary spans more lines than L1 holds.
+void CopyLogitRows(const float* logits, size_t ld, size_t vocab, size_t lo,
+                   size_t hi, float* rows) {
+  for (size_t r = lo; r < hi; r += 16) {
+    const size_t n = std::min<size_t>(16, hi - r);
+    for (size_t c = 0; c < vocab; ++c) {
+      const float* src = logits + c * ld + r;
+      for (size_t i = 0; i < n; ++i) rows[(r + i) * vocab + c] = src[i];
+    }
+  }
+}
+
 }  // namespace
 
 MadeModel::MadeModel(MadeConfig config, Rng& rng)
@@ -161,102 +188,172 @@ void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
   }
 }
 
-const Matrix* MadeModel::ForwardTrunk(const IntMatrix& codes,
-                                      const Matrix& context,
-                                      MadeScratch* scratch,
-                                      int changed_attr) const {
-  assert(codes.cols() == num_attrs());
-  assert(!has_context_ || (context.rows() == codes.rows() &&
-                           context.cols() == config_.context_dim));
-  if (changed_attr >= 0 && scratch->x0.rows() == codes.rows() &&
-      scratch->x0.cols() == embed_.output_dim()) {
-    // Within one SampleRange loop only the just-sampled attribute's column
-    // changed, so only its embedding block needs re-gathering — a pure copy,
-    // byte-identical to the full gather.
-    embed_.ForwardInferenceColumn(codes, static_cast<size_t>(changed_attr),
-                                  &scratch->x0);
-  } else {
-    embed_.ForwardInference(codes, &scratch->x0);
-  }
-  if (scratch->relu.size() != config_.num_layers) {
-    scratch->relu.assign(config_.num_layers, Matrix());
-    scratch->h.assign(config_.num_layers, Matrix());
-  }
-  const Matrix* prev = &scratch->x0;
-  for (size_t l = 0; l < config_.num_layers; ++l) {
-    if (!has_context_) {
-      // Fused epilogue: relu(gemm + bias) [+ residual] applied in the
-      // kernel's store phase — bit-identical to the separate passes below
-      // (see MatMulFused), minus three activation sweeps per layer. The
-      // residual of layer l is its own input, so `prev` doubles as both.
-      if (l == 0) {
-        hidden_[0].ForwardInferenceFused(*prev, /*relu=*/true,
-                                         /*residual=*/nullptr,
-                                         &scratch->relu[0]);
-        prev = &scratch->relu[0];
-      } else {
-        hidden_[l].ForwardInferenceFused(*prev, /*relu=*/true,
-                                         /*residual=*/prev, &scratch->h[l]);
-        prev = &scratch->h[l];
-      }
-      continue;
-    }
-    // Conditional models interleave the context projection between the GEMM
-    // and the relu, so the epilogue cannot fuse past the bias; keep the
-    // original op sequence.
-    Matrix& z = scratch->relu[l];
-    hidden_[l].ForwardInference(*prev, &z);
-    ctx_hidden_[l].ForwardInference(context, &scratch->ctx);
-    AddInPlace(scratch->ctx, &z);
-    ReluInPlace(&z);
-    if (l == 0) {
-      prev = &scratch->relu[0];
-    } else {
-      scratch->h[l] = scratch->relu[l];
-      AddInPlace(l == 1 ? scratch->relu[0] : scratch->h[l - 1],
-                 &scratch->h[l]);
-      prev = &scratch->h[l];
-    }
-  }
-  return prev;
-}
-
-// Mirrors the training Forward op for op (same kernels over the same masked
-// weights, so logits are bit-identical), but every buffer it writes lives in
-// `scratch` and every layer call is the const inference path.
-void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
-                        Matrix* logits, MadeScratch* scratch) const {
-  const Matrix* prev = ForwardTrunk(codes, context, scratch);
-  out_.ForwardInference(*prev, logits);
-  if (has_context_) {
-    ctx_out_.ForwardInference(context, &scratch->ctx_out);
-    AddInPlace(scratch->ctx_out, logits);
-  }
-}
-
-// The sampling fast path: the hidden trunk runs in full (its activations
-// feed every later attribute), but the output layer computes only the
-// active attribute's logit block, plus the context projection's slice —
-// column-sliced kernels over the same frozen weights produce bit-identical
-// values (see MatMulColsSlice), so this IS the default and the determinism
-// suites keep pinning it.
-void MadeModel::ForwardLogitsSlice(const IntMatrix& codes,
-                                   const Matrix& context, size_t attr,
-                                   int changed_attr, Matrix* logits,
-                                   MadeScratch* scratch) const {
-  const Matrix* prev = ForwardTrunk(codes, context, scratch, changed_attr);
-  const size_t begin = offsets_[attr];
-  const size_t end = offsets_[attr + 1];
-  out_.ForwardInferenceSlice(*prev, begin, end, logits);
-  if (has_context_) {
-    ctx_out_.ForwardInferenceSlice(context, begin, end, &scratch->ctx_out);
-    AddInPlaceCols(scratch->ctx_out, begin, end, logits);
-  }
-}
-
 void MadeModel::FinalizeForInference() {
   for (auto& layer : hidden_) layer.RefreshMaskedWeights();
   out_.RefreshMaskedWeights();
+  // Packs output columns `cols` of `layer` into one panel: every column of
+  // a panel depends on one degree (or attribute), so all share one mask
+  // column and hence one list of unmasked inputs. Masked weights (±0) are
+  // left out of the chain; see UnitPanel for why that is exact.
+  const auto pack = [this](const MaskedDense& layer, Dense* ctx,
+                           const std::vector<uint32_t>& cols,
+                           PanelTable* t) {
+    const Matrix& mask = layer.mask();
+    const Matrix& w = layer.masked_weight();
+    if (cols.empty()) return;
+    for (size_t i = 0; i < mask.rows(); ++i) {
+      if (mask.at(i, cols[0]) != 0.0f) {
+        t->inputs.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    for (const uint32_t c : cols) {
+      for (size_t i = 0; i < mask.rows(); ++i) {
+        assert(mask.at(i, c) == mask.at(i, cols[0]));
+      }
+      for (const uint32_t i : t->inputs) t->weights.push_back(w.at(i, c));
+      t->bias.push_back(layer.bias_value().at(0, c));
+      if (ctx != nullptr) {
+        for (size_t k = 0; k < config_.context_dim; ++k) {
+          t->ctx_weights.push_back(ctx->weight().value.at(k, c));
+        }
+        t->ctx_bias.push_back(ctx->bias().value.at(0, c));
+      }
+    }
+  };
+
+  const size_t degrees = num_attrs() > 1 ? num_attrs() - 1 : 0;
+  std::vector<std::vector<uint32_t>> units(degrees);
+  for (size_t u = 0; u < config_.hidden_dim && degrees > 0; ++u) {
+    units[static_cast<size_t>(HiddenDegree(u))].push_back(
+        static_cast<uint32_t>(u));
+  }
+  hidden_panels_.assign(config_.num_layers, std::vector<PanelTable>(degrees));
+  for (size_t l = 0; l < config_.num_layers; ++l) {
+    for (size_t d = 0; d < degrees; ++d) {
+      PanelTable& t = hidden_panels_[l][d];
+      t.outputs = units[d];
+      pack(hidden_[l], has_context_ ? &ctx_hidden_[l] : nullptr, units[d],
+           &t);
+    }
+  }
+  size_t max_rows = std::max(config_.hidden_dim, config_.context_dim);
+  logit_panels_.assign(num_attrs(), PanelTable());
+  for (size_t a = 0; a < num_attrs(); ++a) {
+    PanelTable& t = logit_panels_[a];
+    std::vector<uint32_t> cols;
+    for (size_t c = offsets_[a]; c < offsets_[a + 1]; ++c) {
+      t.outputs.push_back(static_cast<uint32_t>(c - offsets_[a]));
+      cols.push_back(static_cast<uint32_t>(c));
+    }
+    pack(out_, has_context_ ? &ctx_out_ : nullptr, cols, &t);
+    max_rows = std::max(max_rows, cols.size());
+  }
+  identity_rows_.resize(max_rows);
+  for (size_t i = 0; i < max_rows; ++i) {
+    identity_rows_[i] = static_cast<uint32_t>(i);
+  }
+}
+
+void MadeModel::PrepareScratch(size_t batch, size_t vocab,
+                               MadeScratch* s) const {
+  assert(!logit_panels_.empty() && "FinalizeForInference() must run first");
+  s->ld = (batch + 15) / 16 * 16;  // 64-byte unit rows
+  Reserve(&s->embedded, embed_.output_dim() * s->ld);
+  Reserve(&s->hidden, config_.num_layers * config_.hidden_dim * s->ld);
+  Reserve(&s->logit_block, vocab * s->ld);
+  if (has_context_) {
+    Reserve(&s->context, config_.context_dim * s->ld);
+    Reserve(&s->terms, std::max(config_.hidden_dim, vocab) * s->ld);
+  }
+}
+
+void MadeModel::LoadContext(const Matrix& context, size_t lo, size_t hi,
+                            MadeScratch* s) const {
+  if (!has_context_) return;
+  float* dst = s->context.data();
+  for (size_t r = lo; r < hi; ++r) {
+    const float* src = context.row(r);
+    for (size_t k = 0; k < config_.context_dim; ++k) {
+      dst[k * s->ld + r] = src[k];
+    }
+  }
+}
+
+void MadeModel::RunPanel(const PanelTable& t, const float* x, bool relu,
+                         const float* residual, float* y, size_t lo,
+                         size_t hi, MadeScratch* s) const {
+  if (t.outputs.empty()) return;
+  const float* context_term = nullptr;
+  if (has_context_) {
+    // ctx · Wc + bc for these outputs, added after the bias and before the
+    // relu, where the training Forward adds it. Each output is computed
+    // once per call, so its context term is too.
+    UnitPanel term;
+    term.x = s->context.data();
+    term.in_rows = identity_rows_.data();
+    term.num_in = config_.context_dim;
+    term.weights = t.ctx_weights.data();
+    term.bias = t.ctx_bias.data();
+    term.out_rows = identity_rows_.data();
+    term.num_out = t.outputs.size();
+    term.y = s->terms.data();
+    term.ld = s->ld;
+    UnitMajorPanel(term, lo, hi);
+    context_term = s->terms.data();
+  }
+  UnitPanel p;
+  p.x = x;
+  p.in_rows = t.inputs.data();
+  p.num_in = t.inputs.size();
+  p.weights = t.weights.data();
+  p.bias = t.bias.data();
+  p.addend = context_term;
+  p.relu = relu;
+  p.residual = residual;
+  p.out_rows = t.outputs.data();
+  p.num_out = t.outputs.size();
+  p.y = y;
+  p.ld = s->ld;
+  UnitMajorPanel(p, lo, hi);
+}
+
+void MadeModel::ComputeDegrees(const IntMatrix& codes, size_t d0, size_t d1,
+                               size_t lo, size_t hi, MadeScratch* s) const {
+  const size_t ld = s->ld;
+  const size_t embed_dim = config_.embed_dim;
+  // A layer-0 unit of degree d reads attributes 0..d; attribute index and
+  // degree coincide, so these are the embeddings the new units add.
+  float* embedded = s->embedded.data();
+  for (size_t a = d0; a < d1; ++a) {
+    const Matrix& table = embed_.table(a);
+    float* dst = embedded + a * embed_dim * ld;
+    for (size_t r = lo; r < hi; ++r) {
+      const int32_t code = codes.at(r, a);
+      assert(code >= 0 && code < static_cast<int32_t>(table.rows()));
+      const float* src = table.row(static_cast<size_t>(code));
+      for (size_t e = 0; e < embed_dim; ++e) dst[e * ld + r] = src[e];
+    }
+  }
+  const size_t layer_stride = config_.hidden_dim * ld;
+  for (size_t l = 0; l < config_.num_layers; ++l) {
+    // Layer l reads h_{l-1} (layer 0 the embeddings); layers >= 1 add
+    // h_{l-1} back as the residual, unit for unit.
+    const float* x =
+        l == 0 ? embedded : s->hidden.data() + (l - 1) * layer_stride;
+    float* y = s->hidden.data() + l * layer_stride;
+    for (size_t d = d0; d < d1; ++d) {
+      RunPanel(hidden_panels_[l][d], x, /*relu=*/true,
+               l == 0 ? nullptr : x, y, lo, hi, s);
+    }
+  }
+}
+
+void MadeModel::ComputeLogits(size_t attr, size_t lo, size_t hi,
+                              MadeScratch* s) const {
+  const float* last = s->hidden.data() +
+                      (config_.num_layers - 1) * config_.hidden_dim * s->ld;
+  RunPanel(logit_panels_[attr], last, /*relu=*/false, /*residual=*/nullptr,
+           s->logit_block.data(), lo, hi, s);
 }
 
 float MadeModel::NllLoss(const Matrix& logits, const IntMatrix& targets,
@@ -373,8 +470,10 @@ void MadeModel::Backward(const Matrix& dlogits, Matrix* dcontext) {
       if (dcontext != nullptr) AddInPlace(dctx_scratch_, dcontext);
     }
     if (l == 0) {
-      hidden_[0].Backward(dz, &dprev_scratch_);
-      embed_.Backward(dprev_scratch_);
+      // Layer 0's input gradient is [batch x D*E], the others [batch x H]:
+      // separate buffers keep both shapes, so neither is re-zeroed per step.
+      hidden_[0].Backward(dz, &dx0_scratch_);
+      embed_.Backward(dx0_scratch_);
     } else {
       hidden_[l].Backward(dz, &dprev_scratch_);
       // Residual passthrough: h_l = relu_l + h_{l-1}.
@@ -389,18 +488,20 @@ void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
                             int record_attr, Matrix* recorded,
                             MadeScratch* scratch,
                             const std::function<bool()>& should_stop) const {
+  assert(codes->cols() == num_attrs() && end_attr <= num_attrs());
+  assert(!has_context_ || (context.rows() == codes->rows() &&
+                           context.cols() == config_.context_dim));
   const size_t batch = codes->rows();
-  Matrix& logits = scratch->logits;
+  size_t max_vocab = 0;
+  for (size_t a = first_attr; a < end_attr; ++a) {
+    max_vocab = std::max(max_vocab, static_cast<size_t>(vocab_size(a)));
+  }
+  PrepareScratch(batch, max_vocab, scratch);
+  const size_t ld = scratch->ld;
+  float* logit_rows = Reserve(&scratch->logit_rows, ld * max_vocab);
   std::vector<double>& sample_u = scratch->u;
-  // Column-sliced output layer, bit-identical to the full Forward (only the
-  // active block of `logits` is written each attribute; the softmax below
-  // never reads outside it).
-  int changed_attr = -1;
   for (size_t a = first_attr; a < end_attr; ++a) {
     if (should_stop && should_stop()) return;
-    ForwardLogitsSlice(*codes, context, a, changed_attr, &logits, scratch);
-    changed_attr = static_cast<int>(a);
-    const size_t begin = offsets_[a];
     const size_t vocab = static_cast<size_t>(vocab_size(a));
     const bool record = record_attr >= 0 &&
                         static_cast<size_t>(record_attr) == a &&
@@ -411,11 +512,19 @@ void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
     // count (and the rng consumption order matches the sequential version).
     sample_u.resize(batch);
     for (size_t r = 0; r < batch; ++r) sample_u[r] = rng.NextDouble();
-    // Row blocks: softmax the attribute's logit slice and inverse-CDF pick,
-    // each row independent.
-    ParallelFor(0, batch, LossRowGrain(vocab), [&](size_t lo, size_t hi) {
+    // Attribute a's logits read the hidden units of degree < a. Those below
+    // a-1 are final from this call's earlier steps, so only degree a-1 is
+    // new — except on the first step, which computes all of them.
+    const size_t d0 = a == first_attr ? 0 : a - 1;
+    ParallelFor(0, batch, kSampleRowBlock, [&](size_t lo, size_t hi) {
+      if (a == first_attr) LoadContext(context, lo, hi, scratch);
+      ComputeDegrees(*codes, d0, a, lo, hi, scratch);
+      ComputeLogits(a, lo, hi, scratch);
+      CopyLogitRows(scratch->logit_block.data(), ld, vocab, lo, hi,
+                    logit_rows);
+      // Per row: softmax the attribute's logits and inverse-CDF pick.
       for (size_t r = lo; r < hi; ++r) {
-        float* probs = logits.row(r) + begin;
+        float* probs = logit_rows + r * vocab;
         const float max_v = RowMax(probs, vocab);
         float sum = 0.0f;
         for (size_t c = 0; c < vocab; ++c) {
@@ -460,19 +569,21 @@ void MadeModel::PredictDistribution(const IntMatrix& codes,
                                     const Matrix& context, size_t attr,
                                     Matrix* probs,
                                     MadeScratch* scratch) const {
-  Matrix& logits = scratch->logits;
-  // Only this attribute's logit block is consumed, so only it is computed
-  // (bit-identical to slicing a full Forward).
-  ForwardLogitsSlice(codes, context, attr, /*changed_attr=*/-1, &logits,
-                     scratch);
-  SoftmaxSlice(&logits, offsets_[attr], offsets_[attr + 1]);
+  assert(codes.cols() == num_attrs() && attr < num_attrs());
+  assert(!has_context_ || (context.rows() == codes.rows() &&
+                           context.cols() == config_.context_dim));
+  const size_t batch = codes.rows();
   const size_t vocab = static_cast<size_t>(vocab_size(attr));
-  probs->Resize(codes.rows(), vocab);
-  for (size_t r = 0; r < codes.rows(); ++r) {
-    const float* src = logits.row(r) + offsets_[attr];
-    float* dst = probs->row(r);
-    for (size_t c = 0; c < vocab; ++c) dst[c] = src[c];
-  }
+  PrepareScratch(batch, vocab, scratch);
+  probs->Resize(batch, vocab);
+  ParallelFor(0, batch, kSampleRowBlock, [&](size_t lo, size_t hi) {
+    LoadContext(context, lo, hi, scratch);
+    ComputeDegrees(codes, 0, attr, lo, hi, scratch);
+    ComputeLogits(attr, lo, hi, scratch);
+    CopyLogitRows(scratch->logit_block.data(), scratch->ld, vocab, lo, hi,
+                  probs->data());
+  });
+  SoftmaxSlice(probs, 0, vocab);
 }
 
 void MadeModel::CollectParams(std::vector<Param*>* params) {

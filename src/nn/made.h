@@ -1,6 +1,7 @@
 #ifndef RESTORE_NN_MADE_H_
 #define RESTORE_NN_MADE_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -59,18 +60,11 @@ class MadeModel {
   ///
   /// This is the TRAINING entry point: it uses the model's persistent member
   /// scratch, so it is single-threaded per model (the Db facade guarantees
-  /// one trainer per model). Inference uses the const, scratch-taking entry
-  /// points below.
+  /// one trainer per model). Inference uses the const, scratch-taking
+  /// SampleRange and PredictDistribution, whose values are bit-identical to
+  /// slicing this function's logits.
   void Forward(const IntMatrix& codes, const Matrix& context, Matrix* logits,
                bool for_backward = true);
-
-  /// Reentrant inference forward: all per-call buffers live in `scratch`,
-  /// the model is read-only, so any number of threads can run concurrent
-  /// passes over one model — each with its own scratch. Requires
-  /// FinalizeForInference() after the last parameter update. Produces
-  /// bit-identical logits to the training Forward.
-  void Forward(const IntMatrix& codes, const Matrix& context, Matrix* logits,
-               MadeScratch* scratch) const;
 
   /// Mean (over batch) of the summed per-attribute cross-entropies for
   /// attributes in [first_attr, num_attrs). Writes the matching logits
@@ -101,12 +95,18 @@ class MadeModel {
   void Backward(const Matrix& dlogits, Matrix* dcontext);
 
   /// Samples the attribute range [first_attr, end_attr) in place,
-  /// conditioned on the earlier columns of `codes` (and the context). If
-  /// `record_attr` is in range, the predictive distribution of that
-  /// attribute is stored into `recorded` ([batch x vocab(record_attr)]).
-  /// Reentrant (see the scratch Forward): every per-call buffer lives in
-  /// `scratch`, and FinalizeForInference() must have run after the last
-  /// parameter update.
+  /// conditioned on the earlier columns of `codes` (and the context); the
+  /// columns from end_attr on are never read. If `record_attr` is in
+  /// range, the predictive distribution of that attribute is stored into
+  /// `recorded` ([batch x vocab(record_attr)]). Reentrant: the model is
+  /// read-only and every per-call buffer lives in `scratch`, so any number
+  /// of threads can sample one model at once, each with its own scratch.
+  /// FinalizeForInference() must have run after the last parameter update.
+  ///
+  /// Each hidden unit is computed at most once per call: a unit of degree
+  /// d is final once attribute d is known, so the step that samples
+  /// attribute a computes only the units of degree a-1 (the first step all
+  /// of degree < first_attr) and then a's logit block.
   ///
   /// `should_stop` is the cooperative cancellation hook: it is evaluated
   /// once per attribute (one attribute's pass over the batch is one
@@ -122,17 +122,20 @@ class MadeModel {
 
   /// Predictive distribution of a single attribute given its predecessors:
   /// fills `probs` [batch x vocab(attr)]. Reentrant, with the same
-  /// FinalizeForInference() precondition as SampleRange. Row-local: a row's
-  /// probabilities are bit-identical whatever other rows share its batch.
+  /// FinalizeForInference() precondition as SampleRange; computes only the
+  /// hidden units of degree < attr and reads only the columns before attr.
+  /// Row-local: a row's probabilities are bit-identical whatever other rows
+  /// share its batch.
   void PredictDistribution(const IntMatrix& codes, const Matrix& context,
                            size_t attr, Matrix* probs,
                            MadeScratch* scratch) const;
 
   /// Freezes the current parameters for reentrant inference: refreshes the
-  /// cached masked weights (W * M) of every masked layer. Call once after
-  /// training (or after loading parameters); the const inference entry
-  /// points read those caches without refreshing them. The training Forward
-  /// keeps refreshing per call, so training never needs this.
+  /// cached masked weights (W * M) of every masked layer and packs the
+  /// per-degree and per-attribute panel tables the inference entry points
+  /// read. Call once after training (or after loading parameters). The
+  /// training Forward keeps refreshing its masked weights per call, so
+  /// training never needs this.
   void FinalizeForInference();
 
   void CollectParams(std::vector<Param*>* params);
@@ -146,23 +149,40 @@ class MadeModel {
   Matrix BuildOutputMask() const;
   int HiddenDegree(size_t unit) const;
 
-  /// Embeds + runs all hidden layers into `scratch`; returns the final
-  /// hidden activation. Shared trunk of the const Forward and the sliced
-  /// logits path (value-identical to the training Forward; the context-free
-  /// path fuses bias/relu/residual into the GEMM store phase).
-  /// `changed_attr` >= 0 re-gathers only that attribute's embedding block —
-  /// valid only when scratch->x0 already embeds `codes` with at most that
-  /// column changed (the SampleRange loop invariant).
-  const Matrix* ForwardTrunk(const IntMatrix& codes, const Matrix& context,
-                             MadeScratch* scratch,
-                             int changed_attr = -1) const;
-  /// Computes ONLY columns [offsets_[attr], offsets_[attr+1]) of the logits
-  /// buffer ([batch x total_vocab]; other columns are left untouched). The
-  /// sampling path: bit-identical to slicing a full Forward.
-  /// `changed_attr` forwards to ForwardTrunk (same invariant).
-  void ForwardLogitsSlice(const IntMatrix& codes, const Matrix& context,
-                          size_t attr, int changed_attr, Matrix* logits,
-                          MadeScratch* scratch) const;
+  /// Frozen weights of one unit-major panel (see UnitPanel): the output
+  /// columns of one layer that share one set of unmasked inputs — the
+  /// hidden units of one degree, or one attribute's logit block.
+  struct PanelTable {
+    std::vector<uint32_t> inputs;    // unmasked input rows, ascending
+    std::vector<uint32_t> outputs;   // rows of the destination buffer
+    std::vector<float> weights;      // [outputs x inputs]
+    std::vector<float> bias;         // [outputs]
+    std::vector<float> ctx_weights;  // [outputs x context_dim] (SSAR only)
+    std::vector<float> ctx_bias;     // [outputs] (SSAR only)
+  };
+
+  /// Sizes the arena's unit-major buffers for `batch` rows and logit blocks
+  /// of up to `vocab` columns. Grow-only: nothing is zero-filled, because
+  /// a call writes every element before it reads it.
+  void PrepareScratch(size_t batch, size_t vocab, MadeScratch* s) const;
+  /// Transposes the context rows [lo, hi) into the unit-major s->context.
+  void LoadContext(const Matrix& context, size_t lo, size_t hi,
+                   MadeScratch* s) const;
+  /// Computes, for rows [lo, hi), every hidden unit of degree in [d0, d1)
+  /// in every layer; the units of lower degree must be final already. First
+  /// gathers the embeddings of attributes [d0, d1), the only inputs those
+  /// units read that lower degrees did not.
+  void ComputeDegrees(const IntMatrix& codes, size_t d0, size_t d1,
+                      size_t lo, size_t hi, MadeScratch* s) const;
+  /// Computes attribute `attr`'s logit block for rows [lo, hi) into the
+  /// unit-major s->logit_block ([vocab x ld]); needs the units of degree
+  /// < attr.
+  void ComputeLogits(size_t attr, size_t lo, size_t hi, MadeScratch* s) const;
+  /// Runs one panel over rows [lo, hi): y = [relu](x · W + b [+ context
+  /// term]) [+ residual], per element in the training Forward's order.
+  void RunPanel(const PanelTable& t, const float* x, bool relu,
+                const float* residual, float* y, size_t lo, size_t hi,
+                MadeScratch* s) const;
 
   MadeConfig config_;
   std::vector<size_t> offsets_;  // prefix sums of vocab sizes (n+1 entries)
@@ -184,9 +204,15 @@ class MadeModel {
   Matrix ctx_out_scratch_;     // Forward: output-layer context projection
   Matrix dh_scratch_;          // Backward: gradient wrt h_[l]
   Matrix dz_scratch_;          // Backward: gradient through the ReLU branch
-  Matrix dprev_scratch_;       // Backward: gradient wrt the layer input
+  Matrix dprev_scratch_;       // Backward: gradient wrt a hidden layer input
+  Matrix dx0_scratch_;         // Backward: gradient wrt the embedded input
   Matrix dctx_scratch_;        // Backward: per-layer context gradient
   bool has_context_ = false;
+
+  // Inference tables, packed by FinalizeForInference.
+  std::vector<std::vector<PanelTable>> hidden_panels_;  // [layer][degree]
+  std::vector<PanelTable> logit_panels_;                // [attr]
+  std::vector<uint32_t> identity_rows_;  // 0, 1, 2, ...: dense in/out rows
 };
 
 }  // namespace restore

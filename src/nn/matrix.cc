@@ -42,44 +42,35 @@ namespace avx2 {
 
 using MatMulRowsFn = void (*)(const float*, const float*, float*, size_t,
                               size_t, size_t, size_t);
-using MatMulRowsEpiFn = void (*)(const float*, const float*, float*, size_t,
-                                 size_t, size_t, size_t, const float*,
-                                 const float*, int);
+using MatMulRowsBiasFn = void (*)(const float*, const float*, float*, size_t,
+                                  size_t, size_t, size_t, const float*);
 using TransBRowsFn = void (*)(const float*, const float*, float*, size_t,
                               size_t, size_t, size_t);
-using ColsSliceRowsFn = void (*)(const float*, const float*, float*, size_t,
-                                 size_t, size_t, size_t, size_t, size_t);
-using ColsSliceEpiFn = void (*)(const float*, const float*, float*, size_t,
-                                size_t, size_t, size_t, size_t, size_t,
-                                const float*, const float*, int);
 using TransAAccumRowsFn = void (*)(const float*, const float*, float*, size_t,
                                    size_t, size_t, size_t, size_t);
+using UnitMajorFn = void (*)(const UnitPanel&, size_t, size_t);
 using RowMaxFn = float (*)(const float*, size_t);
 
 struct KernelTable {
   MatMulRowsFn matmul_rows;
-  MatMulRowsEpiFn matmul_rows_epi;
+  MatMulRowsBiasFn matmul_rows_bias;
   TransBRowsFn matmul_transb_rows;
-  ColsSliceRowsFn matmul_cols_slice_rows;
-  ColsSliceEpiFn matmul_cols_slice_epi;
   TransAAccumRowsFn matmul_transa_accum_rows;
+  UnitMajorFn unit_major;
   RowMaxFn row_max;
 };
 
 const KernelTable& Kernels() {
   static const KernelTable table = [] {
-    KernelTable t{generic::MatMulRowsKernel, generic::MatMulRowsEpiKernel,
+    KernelTable t{generic::MatMulRowsKernel, generic::MatMulRowsBiasKernel,
                   generic::MatMulTransBRowsKernel,
-                  generic::MatMulColsSliceRowsKernel,
-                  generic::MatMulColsSliceEpiKernel,
                   generic::MatMulTransAAccumRowsKernel,
-                  generic::RowMaxKernel};
+                  generic::UnitMajorKernel, generic::RowMaxKernel};
 #ifdef RESTORE_HAVE_AVX2_VARIANT
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      t = {avx2::MatMulRowsKernel, avx2::MatMulRowsEpiKernel,
-           avx2::MatMulTransBRowsKernel, avx2::MatMulColsSliceRowsKernel,
-           avx2::MatMulColsSliceEpiKernel,
-           avx2::MatMulTransAAccumRowsKernel, avx2::RowMaxKernel};
+      t = {avx2::MatMulRowsKernel, avx2::MatMulRowsBiasKernel,
+           avx2::MatMulTransBRowsKernel, avx2::MatMulTransAAccumRowsKernel,
+           avx2::UnitMajorKernel, avx2::RowMaxKernel};
     }
 #endif
     return t;
@@ -106,9 +97,9 @@ size_t RowGrain(size_t rows, size_t flops_per_row) {
 
 namespace {
 
-// Shared driver of MatMul and its fused-epilogue variant.
+// Shared driver of MatMul and its fused-bias variant.
 void MatMulImpl(const Matrix& a, const Matrix& b, const float* bias,
-                bool relu, const float* residual, Matrix* out) {
+                Matrix* out) {
   assert(a.cols() == b.rows());
   out->Resize(a.rows(), b.cols());
   const size_t m = a.rows();
@@ -117,22 +108,18 @@ void MatMulImpl(const Matrix& a, const Matrix& b, const float* bias,
   if (m == 0 || n == 0) return;
   if (k == 0) {
     // Degenerate GEMM (empty inner dim): the product is all zeros, but the
-    // epilogue still applies — relu(0 + bias) + residual per element, same
-    // as the separate-pass sequence the fused contract promises.
+    // bias still applies — 0 + bias per element, as the separate pass would.
     for (size_t r = 0; r < m; ++r) {
       float* row = out->row(r);
       for (size_t c = 0; c < n; ++c) {
-        float v = bias == nullptr ? 0.0f : 0.0f + bias[c];
-        if (relu) v = (0.0f < v) ? v : 0.0f;
-        if (residual != nullptr) v += residual[r * n + c];
-        row[c] = v;
+        row[c] = bias == nullptr ? 0.0f : 0.0f + bias[c];
       }
     }
     return;
   }
-  if (bias == nullptr && residual == nullptr && !relu) {
-    // Pure GEMM: the dedicated plain kernel keeps the epilogue pointers out
-    // of the register allocation entirely.
+  if (bias == nullptr) {
+    // Pure GEMM: the dedicated plain kernel keeps the bias pointer out of
+    // the register allocation entirely.
     const auto fn = Kernels().matmul_rows;
     if (m * n * k < kMinParallelFlops) {
       fn(a.data(), b.data(), out->data(), 0, m, k, n);
@@ -143,91 +130,33 @@ void MatMulImpl(const Matrix& a, const Matrix& b, const float* bias,
     });
     return;
   }
-  const auto fn = Kernels().matmul_rows_epi;
-  const int relu_flag = relu ? 1 : 0;
+  const auto fn = Kernels().matmul_rows_bias;
   if (m * n * k < kMinParallelFlops) {
-    fn(a.data(), b.data(), out->data(), 0, m, k, n, bias, residual,
-       relu_flag);
+    fn(a.data(), b.data(), out->data(), 0, m, k, n, bias);
     return;
   }
   ParallelFor(0, m, RowGrain(m, n * k), [&](size_t lo, size_t hi) {
-    fn(a.data(), b.data(), out->data(), lo, hi, k, n, bias, residual,
-       relu_flag);
+    fn(a.data(), b.data(), out->data(), lo, hi, k, n, bias);
   });
 }
 
 }  // namespace
 
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
-  MatMulImpl(a, b, nullptr, false, nullptr, out);
+  MatMulImpl(a, b, nullptr, out);
 }
 
 void MatMulFused(const Matrix& a, const Matrix& b, const Matrix* bias,
-                 bool relu, const Matrix* residual, Matrix* out) {
+                 Matrix* out) {
   assert(bias == nullptr ||
          (bias->rows() == 1 && bias->cols() == b.cols()));
-  assert(residual == nullptr ||
-         (residual->rows() == a.rows() && residual->cols() == b.cols()));
-  assert(residual != out);
-  MatMulImpl(a, b, bias == nullptr ? nullptr : bias->data(), relu,
-             residual == nullptr ? nullptr : residual->data(), out);
+  MatMulImpl(a, b, bias == nullptr ? nullptr : bias->data(), out);
 }
 
-namespace {
-
-void MatMulColsSliceImpl(const Matrix& a, const Matrix& b, const float* bias,
-                         size_t col_begin, size_t col_end, Matrix* out) {
-  assert(a.cols() == b.rows());
-  assert(col_begin <= col_end && col_end <= b.cols());
-  out->Resize(a.rows(), b.cols());
-  const size_t m = a.rows();
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  const size_t w = col_end - col_begin;
-  if (m == 0 || w == 0) return;
-  if (k == 0) {
-    for (size_t r = 0; r < m; ++r) {
-      float* row = out->row(r);
-      for (size_t c = col_begin; c < col_end; ++c) {
-        row[c] = bias == nullptr ? 0.0f : 0.0f + bias[c];
-      }
-    }
-    return;
-  }
-  if (bias == nullptr) {
-    const auto fn = Kernels().matmul_cols_slice_rows;
-    if (m * w * k < kMinParallelFlops) {
-      fn(a.data(), b.data(), out->data(), 0, m, k, n, col_begin, col_end);
-      return;
-    }
-    ParallelFor(0, m, RowGrain(m, w * k), [&](size_t lo, size_t hi) {
-      fn(a.data(), b.data(), out->data(), lo, hi, k, n, col_begin, col_end);
-    });
-    return;
-  }
-  const auto fn = Kernels().matmul_cols_slice_epi;
-  if (m * w * k < kMinParallelFlops) {
-    fn(a.data(), b.data(), out->data(), 0, m, k, n, col_begin, col_end, bias,
-       nullptr, 0);
-    return;
-  }
-  ParallelFor(0, m, RowGrain(m, w * k), [&](size_t lo, size_t hi) {
-    fn(a.data(), b.data(), out->data(), lo, hi, k, n, col_begin, col_end,
-       bias, nullptr, 0);
-  });
-}
-
-}  // namespace
-
-void MatMulColsSlice(const Matrix& a, const Matrix& b, size_t col_begin,
-                     size_t col_end, Matrix* out) {
-  MatMulColsSliceImpl(a, b, nullptr, col_begin, col_end, out);
-}
-
-void MatMulColsSliceBias(const Matrix& a, const Matrix& b, const Matrix& bias,
-                         size_t col_begin, size_t col_end, Matrix* out) {
-  assert(bias.rows() == 1 && bias.cols() == b.cols());
-  MatMulColsSliceImpl(a, b, bias.data(), col_begin, col_end, out);
+void UnitMajorPanel(const UnitPanel& panel, size_t r0, size_t r1) {
+  assert(r0 <= r1 && r1 <= panel.ld);
+  if (r0 == r1 || panel.num_out == 0) return;
+  Kernels().unit_major(panel, r0, r1);
 }
 
 namespace {
@@ -344,17 +273,6 @@ void AddInPlace(const Matrix& x, Matrix* y) {
   float* RESTORE_RESTRICT yd = y->data();
   const float* RESTORE_RESTRICT xd = x.data();
   for (size_t i = 0; i < x.size(); ++i) yd[i] += xd[i];
-}
-
-void AddInPlaceCols(const Matrix& x, size_t col_begin, size_t col_end,
-                    Matrix* y) {
-  assert(x.rows() == y->rows() && x.cols() == y->cols());
-  assert(col_begin <= col_end && col_end <= x.cols());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const float* RESTORE_RESTRICT xrow = x.row(r);
-    float* RESTORE_RESTRICT yrow = y->row(r);
-    for (size_t c = col_begin; c < col_end; ++c) yrow[c] += xrow[c];
-  }
 }
 
 float RowMax(const float* p, size_t n) {

@@ -118,29 +118,52 @@ class IntMatrix {
 /// out = a * b            [m x k] * [k x n] -> [m x n]
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// Fused inference forward: out = relu(a * b + bias) + residual, with each
-/// epilogue stage optional (pass nullptr / false to skip). The stages run in
-/// exactly that order per output element inside the kernel's store phase, so
-/// the values are BIT-identical to MatMul; AddBiasRows; ReluInPlace;
-/// AddInPlace — only the three full read+write sweeps over the activation
-/// disappear. `residual` must not alias `out` (aliasing `a` is fine; the
-/// hidden-layer residual does exactly that).
+/// Fused inference forward: out = a * b + bias, the bias add applied in the
+/// kernel's store phase, so the values are BIT-identical to MatMul followed
+/// by AddBiasRows minus one read+write sweep over the output. `bias` is
+/// [1 x n]; nullptr makes this a plain MatMul.
 void MatMulFused(const Matrix& a, const Matrix& b, const Matrix* bias,
-                 bool relu, const Matrix* residual, Matrix* out);
+                 Matrix* out);
 
-/// Column-sliced MatMul: resizes out to [a.rows() x b.cols()] and computes
-/// ONLY columns [col_begin, col_end) of `out = a * b`; all other columns are
-/// left untouched. Each computed element is BIT-identical to what the full
-/// MatMul would produce (same single accumulation chain over ascending k),
-/// so callers that consume one column block — the sampling output layer —
-/// can slice without perturbing results. Cost scales with the slice width.
-void MatMulColsSlice(const Matrix& a, const Matrix& b, size_t col_begin,
-                     size_t col_end, Matrix* out);
+/// One unit-major panel: a group of output units that share one list of
+/// input units, computed over a range of batch rows. Unit-major buffers
+/// store unit i's value for batch row r at `base[i * ld + r]`, so a kernel
+/// vectorizes across rows. For every output j < num_out and row r:
+///
+///   v = sum over t = 0, 1, ..., num_in - 1 (in that order) of
+///         weights[j * num_in + t] * x[in_rows[t] * ld + r]
+///   v = v + bias[j]                         (if bias)
+///   v = v + addend[j * ld + r]              (if addend)
+///   v = relu(v)                             (if relu)
+///   v = v + residual[out_rows[j] * ld + r]  (if residual)
+///   y[out_rows[j] * ld + r] = v
+///
+/// The sum is one accumulation chain per element, with the same rounding
+/// as MatMul's (fused multiply-add under the AVX2 variant, multiply then
+/// add under the generic build). So when `in_rows` lists, in ascending
+/// order, the inputs whose weight is not a masked ±0, the value is
+/// BIT-identical to MatMul over all inputs with the masked weights plus
+/// the same epilogue: a ±0 product added to an accumulator that started at
+/// +0 never changes its bits. `y` must not alias any input.
+struct UnitPanel {
+  const float* x = nullptr;
+  const uint32_t* in_rows = nullptr;
+  size_t num_in = 0;
+  const float* weights = nullptr;   // [num_out x num_in]
+  const float* bias = nullptr;      // [num_out], or nullptr
+  const float* addend = nullptr;    // rows 0..num_out-1 of stride ld, or null
+  bool relu = false;
+  const float* residual = nullptr;  // rows out_rows[j] of stride ld, or null
+  const uint32_t* out_rows = nullptr;
+  size_t num_out = 0;
+  float* y = nullptr;
+  size_t ld = 0;
+};
 
-/// MatMulColsSlice with the bias add fused into the store phase (per-element
-/// identical to MatMulColsSlice followed by AddBiasRowsSlice).
-void MatMulColsSliceBias(const Matrix& a, const Matrix& b, const Matrix& bias,
-                         size_t col_begin, size_t col_end, Matrix* out);
+/// Computes `panel` over batch rows [r0, r1) on the calling thread (callers
+/// shard row blocks themselves). Writes only rows out_rows[j], columns
+/// [r0, r1) of y.
+void UnitMajorPanel(const UnitPanel& panel, size_t r0, size_t r1);
 
 /// out = a * b^T          [m x k] * [n x k] -> [m x n]
 ///
@@ -167,12 +190,6 @@ void AccumBiasGrad(const Matrix& dy, Matrix* bias_grad);
 
 /// y += x (shapes must match).
 void AddInPlace(const Matrix& x, Matrix* y);
-
-/// Column-sliced add: y[r, c] += x[r, c] for c in [col_begin, col_end) only
-/// (shapes must match). Companion of MatMulColsSlice for the context
-/// projection added into a logits slice.
-void AddInPlaceCols(const Matrix& x, size_t col_begin, size_t col_end,
-                    Matrix* y);
 
 /// In-place ReLU; returns mask-applied matrix via dy in BackwardRelu.
 void ReluInPlace(Matrix* x);

@@ -2,9 +2,15 @@
 // dispatched kernels (AVX2 or portable, threaded or inline) must match a
 // naive reference implementation within tolerance across random rectangular
 // shapes, including empty, 1xN, and non-multiple-of-tile sizes that exercise
-// every micro-kernel edge path.
+// every micro-kernel edge path. The unit-major kernel's bit-identity
+// contract is checked per ISA variant: this file compiles both variants of
+// gemm_kernels.inc itself, the way matrix.cc does, so the generic variant
+// is checked on AVX2 machines too.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,8 +19,31 @@
 #include "common/thread_pool.h"
 #include "nn/matrix.h"
 
+#define RESTORE_RESTRICT __restrict__
+#pragma GCC diagnostic ignored "-Wpsabi"
+#pragma GCC diagnostic ignored "-Wunused-function"
+
 namespace restore {
 namespace {
+
+namespace generic_variant {
+#define RESTORE_GEMM_TARGET
+#define RESTORE_GEMM_HAVE_FMA 0
+#include "nn/gemm_kernels.inc"
+#undef RESTORE_GEMM_HAVE_FMA
+#undef RESTORE_GEMM_TARGET
+}  // namespace generic_variant
+
+#if defined(__x86_64__) || defined(__i386__)
+#define RESTORE_TEST_AVX2_VARIANT 1
+namespace avx2_variant {
+#define RESTORE_GEMM_TARGET __attribute__((target("avx2,fma")))
+#define RESTORE_GEMM_HAVE_FMA 1
+#include "nn/gemm_kernels.inc"
+#undef RESTORE_GEMM_HAVE_FMA
+#undef RESTORE_GEMM_TARGET
+}  // namespace avx2_variant
+#endif
 
 constexpr float kTol = 1e-4f;
 
@@ -129,58 +158,142 @@ TEST(MatrixKernelConformance, MatMulTransAAccumMatchesNaiveAndAccumulates) {
   }
 }
 
-void NaiveMatMulColsSlice(const Matrix& a, const Matrix& b, size_t c0,
-                          size_t c1, Matrix* out) {
-  // Slice semantics: out already sized [m x n]; only [c0, c1) written.
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = c0; j < c1; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(p, j);
-      out->at(i, j) = acc;
-    }
+// One ISA variant's row-major and unit-major kernels.
+struct KernelVariant {
+  const char* name;
+  void (*matmul_rows)(const float*, const float*, float*, size_t, size_t,
+                      size_t, size_t);
+  void (*matmul_rows_bias)(const float*, const float*, float*, size_t,
+                           size_t, size_t, size_t, const float*);
+  void (*unit_major)(const UnitPanel&, size_t, size_t);
+};
+
+std::vector<KernelVariant> RunnableVariants() {
+  std::vector<KernelVariant> variants = {
+      {"generic", generic_variant::MatMulRowsKernel,
+       generic_variant::MatMulRowsBiasKernel,
+       generic_variant::UnitMajorKernel}};
+#ifdef RESTORE_TEST_AVX2_VARIANT
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    variants.push_back({"avx2", avx2_variant::MatMulRowsKernel,
+                        avx2_variant::MatMulRowsBiasKernel,
+                        avx2_variant::UnitMajorKernel});
   }
+#endif
+  return variants;
 }
 
-// The sliced kernel must (1) match naive within tolerance, (2) leave
-// columns outside the window untouched, and (3) be BIT-identical to the
-// full MatMul on every computed column — the contract MadeModel's sliced
-// sampling path builds on.
-TEST(MatrixKernelConformance, MatMulColsSliceMatchesFullKernelBitExact) {
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// The unit-major kernel against the row-major MatMul kernel of the SAME
+// variant, on a masked layer: every weight outside the panel's input list
+// is a masked ±0 (W * 0 keeps W's sign), which the row-major kernel
+// multiplies in and the unit-major kernel skips. For each of the 16
+// epilogue combinations the unit-major output must equal, bit for bit, the
+// row-major chain (+ bias inside its store phase) followed by the remaining
+// stages as separate per-element passes in the documented order — and it
+// must write only its output rows within [r0, r1).
+TEST(MatrixKernelConformance, UnitMajorMatchesRowMajorKernelBitExact) {
   Rng rng(505);
-  for (size_t m : kDims) {
-    for (size_t k : kDims) {
-      for (size_t n : kDims) {
-        if (m * k * n > 30000 && (m + k + n) % 3 != 0) continue;
-        Matrix a = RandomMatrix(m, k, rng);
-        Matrix b = RandomMatrix(k, n, rng);
-        Matrix full;
-        MatMul(a, b, &full);
-        // Windows: empty, full width, a prefix, and an inner unaligned one.
-        const size_t windows[][2] = {
-            {0, 0}, {0, n}, {0, n / 2}, {n / 3, n / 3 + (n - n / 3) / 2}};
-        for (const auto& w : windows) {
-          const size_t c0 = w[0], c1 = w[1];
-          if (c0 > c1 || c1 > n) continue;
-          const float sentinel = -12345.0f;
-          Matrix got(m, n, sentinel);
-          MatMulColsSlice(a, b, c0, c1, &got);
-          Matrix want(m, n, sentinel);
-          NaiveMatMulColsSlice(a, b, c0, c1, &want);
-          for (size_t i = 0; i < m; ++i) {
-            for (size_t j = 0; j < n; ++j) {
-              if (j >= c0 && j < c1) {
-                ASSERT_NEAR(got.at(i, j), want.at(i, j), kTol)
-                    << "slice [" << c0 << "," << c1 << ") m=" << m
-                    << " k=" << k << " n=" << n;
-                // Bit-exact vs the full kernel, not just close.
-                ASSERT_EQ(got.at(i, j), full.at(i, j))
-                    << "slice [" << c0 << "," << c1 << ") m=" << m
-                    << " k=" << k << " n=" << n;
-              } else {
-                ASSERT_EQ(got.at(i, j), sentinel)
-                    << "outside-slice column clobbered at (" << i << "," << j
-                    << ")";
-              }
+  const size_t kRowCounts[] = {1, 7, 8, 9, 31, 32, 33, 40, 77, 130};
+  for (const KernelVariant& variant : RunnableVariants()) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const size_t rows = kRowCounts[trial % 10];
+      const size_t k = 1 + rng.NextUint64(40);      // all inputs
+      const size_t n = 1 + rng.NextUint64(12);      // layer width
+      const size_t ld = rows + rng.NextUint64(9);   // row stride >= rows
+      // The panel: a random ascending subset of inputs (possibly empty)
+      // and a random subset of the layer's units as its outputs.
+      std::vector<uint32_t> in_rows, out_rows;
+      for (uint32_t p = 0; p < k; ++p) {
+        if (rng.NextUint64(3) != 0) in_rows.push_back(p);
+      }
+      for (uint32_t j = 0; j < n; ++j) {
+        if (rng.NextUint64(2) != 0) out_rows.push_back(j);
+      }
+      if (out_rows.empty()) out_rows.push_back(static_cast<uint32_t>(n - 1));
+      // Row-major operands: x [rows x k], masked weight [k x n].
+      Matrix x = RandomMatrix(rows, k, rng);
+      Matrix w = RandomMatrix(k, n, rng);
+      std::vector<bool> connected(k, false);
+      for (uint32_t p : in_rows) connected[p] = true;
+      for (size_t p = 0; p < k; ++p) {
+        if (connected[p]) continue;
+        for (size_t j = 0; j < n; ++j) w.at(p, j) *= 0.0f;  // ±0
+      }
+      Matrix bias = RandomMatrix(1, n, rng);
+      Matrix addend = RandomMatrix(rows, n, rng);
+      Matrix residual = RandomMatrix(rows, n, rng);
+      // Unit-major copies and packed panel weights.
+      std::vector<float> xt(k * ld, 0.0f), rt(n * ld, 0.0f);
+      std::vector<float> at(out_rows.size() * ld, 0.0f);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t p = 0; p < k; ++p) xt[p * ld + r] = x.at(r, p);
+        for (size_t j = 0; j < n; ++j) rt[j * ld + r] = residual.at(r, j);
+        for (size_t j = 0; j < out_rows.size(); ++j) {
+          at[j * ld + r] = addend.at(r, out_rows[j]);
+        }
+      }
+      std::vector<float> packed, packed_bias;
+      for (uint32_t j : out_rows) {
+        for (uint32_t p : in_rows) packed.push_back(w.at(p, j));
+        packed_bias.push_back(bias.at(0, j));
+      }
+      const size_t r0 = rows > 9 ? rng.NextUint64(rows / 3) : 0;
+      const size_t r1 = rows - (rows > 9 ? rng.NextUint64(rows / 3) : 0);
+      for (int combo = 0; combo < 16; ++combo) {
+        const bool use_bias = combo & 1, use_addend = combo & 2;
+        const bool relu = combo & 4, use_residual = combo & 8;
+        Matrix want(rows, n);
+        if (use_bias) {
+          variant.matmul_rows_bias(x.data(), w.data(), want.data(), 0, rows,
+                                   k, n, bias.data());
+        } else {
+          variant.matmul_rows(x.data(), w.data(), want.data(), 0, rows, k, n);
+        }
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t j = 0; j < n; ++j) {
+            float v = want.at(r, j);
+            if (use_addend) v += addend.at(r, j);
+            if (relu) v = std::max(0.0f, v);
+            if (use_residual) v += residual.at(r, j);
+            want.at(r, j) = v;
+          }
+        }
+        const float sentinel = -12345.0f;
+        std::vector<float> y(n * ld, sentinel);
+        UnitPanel panel;
+        panel.x = xt.data();
+        panel.in_rows = in_rows.data();
+        panel.num_in = in_rows.size();
+        panel.weights = packed.data();
+        panel.bias = use_bias ? packed_bias.data() : nullptr;
+        panel.addend = use_addend ? at.data() : nullptr;
+        panel.relu = relu;
+        panel.residual = use_residual ? rt.data() : nullptr;
+        panel.out_rows = out_rows.data();
+        panel.num_out = out_rows.size();
+        panel.y = y.data();
+        panel.ld = ld;
+        variant.unit_major(panel, r0, r1);
+        std::vector<bool> is_out(n, false);
+        for (uint32_t j : out_rows) is_out[j] = true;
+        for (size_t j = 0; j < n; ++j) {
+          for (size_t r = 0; r < ld; ++r) {
+            const float got = y[j * ld + r];
+            if (is_out[j] && r >= r0 && r < r1) {
+              ASSERT_EQ(Bits(got), Bits(want.at(r, j)))
+                  << variant.name << " trial " << trial << " combo " << combo
+                  << " unit " << j << " row " << r << " (rows=" << rows
+                  << " k=" << k << " inputs=" << in_rows.size() << ")";
+            } else {
+              ASSERT_EQ(Bits(got), Bits(sentinel))
+                  << variant.name << " wrote outside its panel at unit " << j
+                  << " row " << r;
             }
           }
         }
@@ -189,9 +302,9 @@ TEST(MatrixKernelConformance, MatMulColsSliceMatchesFullKernelBitExact) {
   }
 }
 
-// The fused epilogue (bias -> relu -> residual in the store phase) must be
-// bit-identical to running the separate passes — including the degenerate
-// k == 0 product, where the epilogue applies to an all-zero GEMM result.
+// The fused bias (added in the store phase) must be bit-identical to the
+// separate MatMul + AddBiasRows passes — including the degenerate k == 0
+// product, where the bias applies to an all-zero GEMM result.
 TEST(MatrixKernelConformance, MatMulFusedMatchesSeparatePassesBitExact) {
   Rng rng(606);
   const struct { size_t m, k, n; } shapes[] = {
@@ -201,37 +314,16 @@ TEST(MatrixKernelConformance, MatMulFusedMatchesSeparatePassesBitExact) {
     Matrix a = RandomMatrix(sh.m, sh.k, rng);
     Matrix b = RandomMatrix(sh.k, sh.n, rng);
     Matrix bias = RandomMatrix(1, sh.n, rng);
-    Matrix residual = RandomMatrix(sh.m, sh.n, rng);
     Matrix want;
     MatMul(a, b, &want);
     AddBiasRows(bias, &want);
-    ReluInPlace(&want);
-    AddInPlace(residual, &want);
     Matrix got;
-    MatMulFused(a, b, &bias, /*relu=*/true, &residual, &got);
+    MatMulFused(a, b, &bias, &got);
     ASSERT_EQ(got.rows(), want.rows());
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got.data()[i], want.data()[i])
           << "fused mismatch at " << i << " for m=" << sh.m << " k=" << sh.k
           << " n=" << sh.n;
-    }
-    // Bias-only flavor (the inference Dense/MaskedDense forward).
-    Matrix want2;
-    MatMul(a, b, &want2);
-    AddBiasRows(bias, &want2);
-    Matrix got2;
-    MatMulFused(a, b, &bias, /*relu=*/false, /*residual=*/nullptr, &got2);
-    for (size_t i = 0; i < got2.size(); ++i) {
-      ASSERT_EQ(got2.data()[i], want2.data()[i]) << "bias-only mismatch";
-    }
-    // Sliced bias flavor.
-    Matrix got3(sh.m, sh.n, 0.0f);
-    const size_t c0 = sh.n / 3, c1 = sh.n;
-    MatMulColsSliceBias(a, b, bias, c0, c1, &got3);
-    for (size_t i = 0; i < sh.m; ++i) {
-      for (size_t j = c0; j < c1; ++j) {
-        ASSERT_EQ(got3.at(i, j), want2.at(i, j)) << "sliced-bias mismatch";
-      }
     }
   }
 }

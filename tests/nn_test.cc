@@ -1,6 +1,11 @@
 // Unit and gradient-check tests for the neural-network substrate.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -393,21 +398,21 @@ TEST(MadeTest, SampleRangeRespectsConditioning) {
   EXPECT_GT(correct, 170u);
 }
 
-// The pre-PR sampling algorithm, reimplemented verbatim as a reference: a
-// FULL forward pass per attribute, then the softmax / inverse-CDF pick over
-// that attribute's logit slice (normalize-then-accumulate, stored values).
-// The production SampleRange now computes only the active logit block via
-// the column-sliced output layer — it must stay BIT-identical to this.
-void ReferenceFullGemmSampleRange(const MadeModel& made, IntMatrix* codes,
+// The reference sampling algorithm: a FULL training forward pass per
+// attribute (every hidden unit, every logit, all inputs with their masked
+// weights), then the softmax / inverse-CDF pick over that attribute's logit
+// slice (normalize-then-accumulate, stored values). The production
+// SampleRange computes each hidden unit once per call and only the active
+// logit block, skipping masked inputs — it must stay BIT-identical to this.
+void ReferenceFullGemmSampleRange(MadeModel& made, IntMatrix* codes,
                                   const Matrix& context, size_t first_attr,
                                   size_t end_attr, Rng& rng, int record_attr,
                                   Matrix* recorded) {
   const size_t batch = codes->rows();
-  MadeScratch scratch;
   Matrix logits;
   std::vector<double> u(batch);
   for (size_t a = first_attr; a < end_attr; ++a) {
-    made.Forward(*codes, context, &logits, &scratch);  // full total_vocab
+    made.Forward(*codes, context, &logits, /*for_backward=*/false);
     const size_t begin = made.attr_offset(a);
     const size_t vocab = static_cast<size_t>(made.vocab_size(a));
     const bool record = record_attr >= 0 &&
@@ -445,88 +450,147 @@ void ReferenceFullGemmSampleRange(const MadeModel& made, IntMatrix* codes,
   }
 }
 
-MadeConfig SlicedTestConfig(bool with_context) {
-  MadeConfig config;
-  // Mixed widths incl. non-multiples of the 8-float vector so the slice
-  // kernel's remainder paths run, plus a wide block for shard coverage.
-  config.vocab_sizes = {7, 33, 150, 5, 20};
-  config.embed_dim = 6;
-  config.hidden_dim = 48;
-  config.num_layers = 2;
-  config.context_dim = with_context ? 9 : 0;
-  return config;
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
 }
 
-// The acceptance pin of the sliced sampling fast path: on frozen weights the
-// DEFAULT SampleRange (column-sliced output layer, fused trunk, partial
-// embedding re-gather) must reproduce the pre-PR full-GEMM sampling
-// bit-for-bit — sampled codes AND recorded distribution.
-TEST(MadeTest, SlicedSampleRangeBitIdenticalToFullGemmPath) {
-  for (const bool with_context : {false, true}) {
-    Rng rng(321);
-    MadeConfig config = SlicedTestConfig(with_context);
-    MadeModel made(config, rng);
-    made.FinalizeForInference();
-    const size_t batch = 96;
-    Matrix context(with_context ? batch : 0, config.context_dim);
-    for (size_t i = 0; i < context.size(); ++i) {
-      context.data()[i] = static_cast<float>(rng.NextGaussian());
-    }
-
-    IntMatrix sliced_codes(batch, config.vocab_sizes.size(), 0);
-    IntMatrix full_codes(batch, config.vocab_sizes.size(), 0);
-    Matrix sliced_rec, full_rec;
-    Rng rng_sliced(99), rng_full(99);
-    MadeScratch scratch;
-    made.SampleRange(&sliced_codes, context, 0, config.vocab_sizes.size(),
-                     rng_sliced, /*record_attr=*/2, &sliced_rec, &scratch);
-    ReferenceFullGemmSampleRange(made, &full_codes, context, 0,
-                                 config.vocab_sizes.size(), rng_full,
-                                 /*record_attr=*/2, &full_rec);
-
-    for (size_t r = 0; r < batch; ++r) {
-      for (size_t a = 0; a < config.vocab_sizes.size(); ++a) {
-        ASSERT_EQ(sliced_codes.at(r, a), full_codes.at(r, a))
-            << "code (" << r << "," << a << ") context=" << with_context;
-      }
-    }
-    ASSERT_EQ(sliced_rec.size(), full_rec.size());
-    for (size_t i = 0; i < sliced_rec.size(); ++i) {
-      ASSERT_EQ(sliced_rec.data()[i], full_rec.data()[i])
-          << "recorded prob " << i << " context=" << with_context;
-    }
-  }
-}
-
-// Sliced PredictDistribution must equal softmaxing the full logits.
-TEST(MadeTest, SlicedPredictDistributionBitIdenticalToFullGemmPath) {
-  Rng rng(654);
-  MadeConfig config = SlicedTestConfig(/*with_context=*/false);
-  MadeModel made(config, rng);
-  made.FinalizeForInference();
-  const size_t batch = 40;
-  IntMatrix codes(batch, config.vocab_sizes.size(), 0);
+// Every column holds a random valid code: the columns a call must not read
+// (from `end` on, and the targets before they are sampled) hold garbage.
+IntMatrix RandomCodes(const MadeConfig& config, size_t batch, Rng& rng) {
+  IntMatrix codes(batch, config.vocab_sizes.size());
   for (size_t r = 0; r < batch; ++r) {
     for (size_t a = 0; a < config.vocab_sizes.size(); ++a) {
       codes.at(r, a) = static_cast<int32_t>(
           rng.NextUint64(static_cast<uint64_t>(config.vocab_sizes[a])));
     }
   }
-  for (size_t attr : {size_t{0}, size_t{2}, size_t{4}}) {
-    MadeScratch scratch;
-    Matrix probs;
-    made.PredictDistribution(codes, Matrix(), attr, &probs, &scratch);
+  return codes;
+}
 
-    MadeScratch ref_scratch;
-    Matrix logits;
-    made.Forward(codes, Matrix(), &logits, &ref_scratch);
-    SoftmaxSlice(&logits, made.attr_offset(attr), made.attr_offset(attr + 1));
-    for (size_t r = 0; r < batch; ++r) {
-      const float* want = logits.row(r) + made.attr_offset(attr);
-      const float* got = probs.row(r);
-      for (size_t c = 0; c < probs.cols(); ++c) {
-        ASSERT_EQ(got[c], want[c]) << "attr " << attr << " (" << r << ","
-                                   << c << ")";
+// The acceptance pin of the sampling path: on frozen weights SampleRange
+// (degree-incremental unit-major trunk, one logit block per attribute) and
+// PredictDistribution must reproduce the full-GEMM reference bit for bit:
+// sampled codes, recorded distribution, rng consumption, and the predicted
+// distribution of every attribute. The ranges include mid ranges
+// [first, end), the SynthesizeHop shape, where the codes from `end` on are
+// garbage. The shapes hit the edges of the degree bookkeeping (D = 1 reads
+// no hidden unit, D = 2 has one degree, hidden 8 < D-1 = 12 leaves degrees
+// without units, hidden 24 at D = 8 gives 3 or 4 units per degree) and
+// mixed logit-block widths (odd ones, since the kernel pairs outputs, and a
+// wide one whose copy to row-major spans many cache lines), 1 to 3 layers
+// with and without context, and batches that cross the kernel's 8- and
+// 32-row lanes and the 128-row block. One scratch per model serves batches
+// that grow and shrink, so stale arena contents would show.
+TEST(MadeTest, SlicedSampleRangeBitIdenticalToFullGemmPath) {
+  struct Shape {
+    std::vector<int> vocab;
+    size_t embed;
+    size_t hidden;
+    size_t context;  // width of the context-conditioned variant
+  };
+  const Shape shapes[] = {
+      {{6}, 3, 16, 5},
+      {{5, 9}, 3, 16, 5},
+      {{7, 3, 12, 5, 9}, 3, 24, 5},
+      {{7, 33, 150, 5, 20}, 6, 48, 9},
+      {{4, 9, 3, 17, 6, 2, 11, 8, 5, 13, 3, 7, 10}, 3, 8, 5},
+      {{12, 12, 12, 12, 12, 12, 12, 12}, 3, 24, 5}};
+  const size_t batches[] = {300, 1, 129, 7, 33, 8, 31, 96};
+  uint64_t seed = 1000;
+  for (const Shape& shape : shapes) {
+    for (const size_t layers : {size_t{1}, size_t{2}, size_t{3}}) {
+      for (const bool with_context : {false, true}) {
+        MadeConfig config;
+        config.vocab_sizes = shape.vocab;
+        config.embed_dim = shape.embed;
+        config.hidden_dim = shape.hidden;
+        config.num_layers = layers;
+        config.context_dim = with_context ? shape.context : 0;
+        Rng rng(++seed);
+        MadeModel made(config, rng);
+        made.FinalizeForInference();
+        const size_t d = config.vocab_sizes.size();
+        const std::pair<size_t, size_t> ranges[] = {
+            {0, d}, {d / 3, d / 3 + std::max<size_t>(1, d / 3)}, {d - 1, d}};
+        MadeScratch scratch;
+        for (const size_t batch : batches) {
+          Matrix context(with_context ? batch : 0, config.context_dim);
+          for (size_t i = 0; i < context.size(); ++i) {
+            context.data()[i] = static_cast<float>(rng.NextGaussian());
+          }
+          for (const auto& [first, end] : ranges) {
+            const std::string where =
+                "D=" + std::to_string(d) + " layers=" +
+                std::to_string(layers) + " context=" +
+                std::to_string(with_context) + " batch=" +
+                std::to_string(batch) + " range=[" + std::to_string(first) +
+                "," + std::to_string(end) + ")";
+            const IntMatrix base = RandomCodes(config, batch, rng);
+            const int record = static_cast<int>(first + (end - first) / 2);
+            IntMatrix got = base;
+            IntMatrix want = base;
+            Matrix got_rec, want_rec;
+            Rng rng_got(seed * 31 + batch), rng_want(seed * 31 + batch);
+            made.SampleRange(&got, context, first, end, rng_got, record,
+                             &got_rec, &scratch);
+            ReferenceFullGemmSampleRange(made, &want, context, first, end,
+                                         rng_want, record, &want_rec);
+            ASSERT_EQ(rng_got.NextUint64(), rng_want.NextUint64()) << where;
+            for (size_t r = 0; r < batch; ++r) {
+              for (size_t a = 0; a < d; ++a) {
+                ASSERT_EQ(got.at(r, a), want.at(r, a))
+                    << where << " code (" << r << "," << a << ")";
+              }
+            }
+            ASSERT_EQ(got_rec.rows(), want_rec.rows()) << where;
+            ASSERT_EQ(got_rec.cols(), want_rec.cols()) << where;
+            for (size_t i = 0; i < got_rec.size(); ++i) {
+              ASSERT_EQ(Bits(got_rec.data()[i]), Bits(want_rec.data()[i]))
+                  << where << " recorded prob " << i;
+            }
+            // New garbage in the columns the call must not read: the
+            // targets before sampling and everything from `end` on.
+            IntMatrix regarbled = RandomCodes(config, batch, rng);
+            for (size_t r = 0; r < batch; ++r) {
+              for (size_t a = 0; a < first; ++a) {
+                regarbled.at(r, a) = base.at(r, a);
+              }
+            }
+            Rng rng_again(seed * 31 + batch);
+            Matrix again_rec;
+            made.SampleRange(&regarbled, context, first, end, rng_again,
+                             record, &again_rec, &scratch);
+            for (size_t r = 0; r < batch; ++r) {
+              for (size_t a = first; a < end; ++a) {
+                ASSERT_EQ(regarbled.at(r, a), got.at(r, a))
+                    << where << " garbage-dependent code (" << r << "," << a
+                    << ")";
+              }
+            }
+          }
+          const IntMatrix codes = RandomCodes(config, batch, rng);
+          Matrix logits;
+          made.Forward(codes, context, &logits, /*for_backward=*/false);
+          for (size_t attr = 0; attr < d; ++attr) {
+            Matrix probs;
+            made.PredictDistribution(codes, context, attr, &probs, &scratch);
+            Matrix want = logits;
+            SoftmaxSlice(&want, made.attr_offset(attr),
+                         made.attr_offset(attr + 1));
+            ASSERT_EQ(probs.rows(), batch);
+            for (size_t r = 0; r < batch; ++r) {
+              for (size_t c = 0; c < probs.cols(); ++c) {
+                ASSERT_EQ(Bits(probs.at(r, c)),
+                          Bits(want.at(r, made.attr_offset(attr) + c)))
+                    << "PredictDistribution D=" << d << " layers=" << layers
+                    << " context=" << with_context << " batch=" << batch
+                    << " attr " << attr << " (" << r << "," << c << ")";
+              }
+            }
+          }
+        }
       }
     }
   }

@@ -119,33 +119,47 @@ TEST(ThreadDeterminismTest, TrainingAndSamplingIdenticalAt1And4Threads) {
   }
 }
 
-// The sliced sampling path (SampleRange) must be bit-identical across thread
-// counts: the sliced output-layer GEMM, the fused hidden trunk and the
-// partial embedding re-gather all shard with shape-only grains. (CI's TSan
-// job runs this binary repeatedly, so the sliced path is also raced for data
-// coherence.)
+// The sampling path (SampleRange) must be bit-identical across thread
+// counts: its unit-major trunk and logit blocks shard 128-row blocks with a
+// shape-only grain, and the uniforms are pre-drawn on the calling thread.
+// The second case samples a mid range [2, 5) under a context, the
+// SynthesizeHop shape, over 600 rows, so the row blocks really split at
+// width 4. (CI's TSan job runs this binary repeatedly, so the sampling path
+// is also raced for data coherence.)
 struct SampleOnlyResult {
   std::vector<int32_t> samples;
   std::vector<float> probs;
 };
 
-SampleOnlyResult SampleSliced(uint64_t seed) {
+SampleOnlyResult SampleSliced(uint64_t seed, bool mid_range_with_context) {
   Rng rng(seed);
   MadeConfig config;
-  // A wide attribute forces multi-shard row blocks (see TrainAndSample).
-  config.vocab_sizes = {9, 300, 17, 40, 5};
+  config.vocab_sizes = {9, 300, 17, 40, 5, 12};
   config.embed_dim = 6;
   config.hidden_dim = 40;
   config.num_layers = 2;
+  config.context_dim = mid_range_with_context ? 7 : 0;
   MadeModel made(config, rng);
   made.FinalizeForInference();
 
-  const size_t batch = 160;
+  const size_t batch = mid_range_with_context ? 600 : 160;
+  const size_t first = mid_range_with_context ? 2 : 0;
+  const size_t end = mid_range_with_context ? 5 : config.vocab_sizes.size();
   IntMatrix codes(batch, config.vocab_sizes.size(), 0);
+  Matrix context(mid_range_with_context ? batch : 0, config.context_dim);
+  for (size_t i = 0; i < context.size(); ++i) {
+    context.data()[i] = static_cast<float>(rng.NextGaussian());
+  }
+  for (size_t r = 0; r < batch; ++r) {
+    for (size_t a = 0; a < config.vocab_sizes.size(); ++a) {
+      codes.at(r, a) = static_cast<int32_t>(
+          rng.NextUint64(static_cast<uint64_t>(config.vocab_sizes[a])));
+    }
+  }
   Matrix recorded;
   MadeScratch scratch;
-  made.SampleRange(&codes, Matrix(), 0, config.vocab_sizes.size(), rng,
-                   /*record_attr=*/3, &recorded, &scratch);
+  made.SampleRange(&codes, context, first, end, rng, /*record_attr=*/3,
+                   &recorded, &scratch);
   SampleOnlyResult result;
   for (size_t r = 0; r < batch; ++r) {
     for (size_t a = 0; a < config.vocab_sizes.size(); ++a) {
@@ -157,19 +171,26 @@ SampleOnlyResult SampleSliced(uint64_t seed) {
 }
 
 TEST(ThreadDeterminismTest, SlicedSamplingIdenticalAt1And4Threads) {
-  ThreadPool::SetGlobalWidth(1);
-  const SampleOnlyResult single = SampleSliced(7);
-  ThreadPool::SetGlobalWidth(4);
-  const SampleOnlyResult quad = SampleSliced(7);
-  ThreadPool::SetGlobalWidth(0);
+  for (const bool mid_range_with_context : {false, true}) {
+    ThreadPool::SetGlobalWidth(1);
+    const SampleOnlyResult single = SampleSliced(7, mid_range_with_context);
+    ThreadPool::SetGlobalWidth(4);
+    const SampleOnlyResult quad = SampleSliced(7, mid_range_with_context);
+    ThreadPool::SetGlobalWidth(0);
 
-  ASSERT_EQ(single.samples.size(), quad.samples.size());
-  for (size_t i = 0; i < single.samples.size(); ++i) {
-    ASSERT_EQ(single.samples[i], quad.samples[i]) << "sample " << i;
-  }
-  ASSERT_EQ(single.probs.size(), quad.probs.size());
-  for (size_t i = 0; i < single.probs.size(); ++i) {
-    ASSERT_EQ(single.probs[i], quad.probs[i]) << "recorded prob " << i;
+    ASSERT_EQ(single.samples.size(), quad.samples.size());
+    for (size_t i = 0; i < single.samples.size(); ++i) {
+      ASSERT_EQ(single.samples[i], quad.samples[i])
+          << "sample " << i << " mid_range_with_context="
+          << mid_range_with_context;
+    }
+    ASSERT_FALSE(single.probs.empty());
+    ASSERT_EQ(single.probs.size(), quad.probs.size());
+    for (size_t i = 0; i < single.probs.size(); ++i) {
+      ASSERT_EQ(single.probs[i], quad.probs[i])
+          << "recorded prob " << i << " mid_range_with_context="
+          << mid_range_with_context;
+    }
   }
 }
 
