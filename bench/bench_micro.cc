@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the performance-critical substrate
-// components: GEMM kernels, MADE forward/sampling, hash join, k-d tree
-// lookups, and discretizer encoding.
+// components: GEMM kernels, MADE forward/sampling, path completion, hash
+// join, k-d tree lookups, and discretizer encoding.
 //
 // Besides the console table, results are written to BENCH_micro.json (via
 // bench_util's WriteBenchJson) so future PRs can track the perf trajectory
@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "datagen/incompleteness.h"
+#include "datagen/setups.h"
 #include "datagen/synthetic.h"
 #include "exec/join.h"
 #include "nn/inference_scratch.h"
@@ -543,6 +544,88 @@ void BM_DriftCheck(benchmark::State& state) {
       static_cast<double>(kParentRows + kChildRows);
 }
 BENCHMARK(BM_DriftCheck);
+
+// ---- Completion of one path: the relational half ----------------------------
+//
+// One pre-trained movies tenant (M2 at scale 0.1, perfbench's engine
+// configuration, cache off) completes movie_director over its selected
+// path, actor>movie_actor>movie>movie_director: a fan-out hop, an n:1 hop
+// and a fan-out hop. BM_CompleteViaPath writes the full join;
+// BM_CompleteTable reads only the synthesized tuples (the single-table
+// query path). Models train up front, so the loops time completion alone.
+// Each iteration repeats the same work: the completion rng is derived from
+// the path. Gated by check_bench_json.py.
+
+struct PathCompletionFixture {
+  Database incomplete;
+  std::shared_ptr<Db> db;
+  std::vector<std::string> path;
+};
+
+constexpr char kCompletedTable[] = "movie_director";
+
+PathCompletionFixture& SharedPathCompletion() {
+  static PathCompletionFixture* fixture = [] {
+    auto* f = new PathCompletionFixture();
+    auto setup = SetupByName("M2");
+    if (!setup.ok()) std::abort();
+    auto complete = BuildCompleteDatabase("movies", 300, 0.1);
+    if (!complete.ok()) std::abort();
+    auto incomplete = ApplySetup(*complete, *setup, 0.5, 0.5, 301);
+    if (!incomplete.ok()) std::abort();
+    f->incomplete = std::move(incomplete).value();
+    EngineConfig engine;
+    engine.model.epochs = 6;
+    engine.model.hidden_dim = 24;
+    engine.model.embed_dim = 4;
+    engine.model.max_bins = 12;
+    engine.model.min_train_steps = 150;
+    engine.max_candidates = 2;
+    engine.enable_cache = false;
+    auto db = Db::Open(&f->incomplete, AnnotationFor(*setup),
+                       DbOptions().WithEngine(engine));
+    if (!db.ok()) std::abort();
+    f->db = std::move(*db);
+    auto path = f->db->SelectedPathFor(kCompletedTable);
+    if (!path.ok() || path->size() < 4) std::abort();
+    f->path = *path;
+    if (!f->db->CompleteViaPath(f->path).ok()) std::abort();
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_CompleteViaPath(benchmark::State& state) {
+  PathCompletionFixture& f = SharedPathCompletion();
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto completed = f.db->CompleteViaPath(f.path);
+    if (!completed.ok()) {
+      state.SkipWithError(completed.status().ToString().c_str());
+      return;
+    }
+    rows = completed->joined.NumRows();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["join_rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_CompleteViaPath);
+
+void BM_CompleteTable(benchmark::State& state) {
+  PathCompletionFixture& f = SharedPathCompletion();
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto completed = f.db->CompleteTable(kCompletedTable);
+    if (!completed.ok()) {
+      state.SkipWithError(completed.status().ToString().c_str());
+      return;
+    }
+    rows = completed->NumRows();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["table_rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_CompleteTable);
 
 void BM_HashJoin(benchmark::State& state) {
   Rng rng(3);

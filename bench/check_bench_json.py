@@ -17,7 +17,12 @@ figure JSONs) exceeds the baseline by more than --threshold (default 0.25 =
 Concurrency acceptance: with --check-concurrency (and >= --min-cpus CPUs),
 the script additionally requires the scratch-arena concurrent-inference
 bench to beat the mutex-serialized contrast bench by --speedup x aggregate
-throughput (items_per_second).
+throughput (items_per_second). One run of each is too noisy to judge (the
+ratio has read 0.73x to 2.57x on one box), so the check compares the
+medians of at least CONCURRENT_REPETITIONS repetitions of each
+(--benchmark_repetitions), read from the JSON named after the flag
+(default: --fresh). The Bench-regression gate step of
+.github/workflows/ci.yml runs the pair that way.
 
 Re-baselining: benchmark numbers are machine-specific, so after an
 intentional perf change (or a runner generation change) regenerate the
@@ -35,6 +40,7 @@ subsequent width-1 gate run look like a regression:
 import argparse
 import json
 import os
+import statistics
 import sys
 
 # Hot metrics gated by default, keyed by the basename of the fresh JSON
@@ -45,9 +51,12 @@ import sys
 # BENCH_micro.json: BM_DbQps is the Db-level end-to-end serving bench
 # (concurrent sessions, cache disabled, pre-trained models): it guards the
 # completion plumbing AROUND the models, which the model-only benches cannot
-# see. BM_IngestRefresh is the live-data loop (Append -> RefreshStaleModels
-# -> query); it is dominated by retraining, so it guards the ingest/publish/
-# hot-swap plumbing rather than kernel speed.
+# see. BM_CompleteViaPath and BM_CompleteTable complete one four-table
+# movies path (the relational half of cold completion: the row-id join, the
+# synthesized blocks and the final column writes). BM_IngestRefresh is the
+# live-data loop (Append -> RefreshStaleModels -> query); it is dominated by
+# retraining, so it guards the ingest/publish/hot-swap plumbing rather than
+# kernel speed.
 #
 # BENCH_server.json (bench_server, the HTTP load harness): real_ns is the
 # mean per-request latency of each phase. Its committed baseline was
@@ -64,6 +73,8 @@ DEFAULT_METRICS_BY_FILE = {
         "BM_MadePredictTf",
         "BM_ConcurrentInference",
         "BM_DbQps",
+        "BM_CompleteViaPath",
+        "BM_CompleteTable",
         "BM_IngestRefresh",
         "BM_DriftCheck",
     ],
@@ -78,6 +89,7 @@ DEFAULT_METRICS = DEFAULT_METRICS_BY_FILE["BENCH_micro.json"]
 CONCURRENT_BENCH = "BM_ConcurrentInference"
 CONCURRENT_MUTEX_BENCH = "BM_ConcurrentInferenceMutex"
 CONCURRENT_THREADS = 4
+CONCURRENT_REPETITIONS = 5
 
 
 def load_records(path):
@@ -121,6 +133,14 @@ def metric_value(record, counter):
     return None
 
 
+def repetitions(records, name, counter):
+    """The counter of every record named exactly `name`: one per repetition
+    (google-benchmark's _mean/_median/... aggregates carry suffixed names)."""
+    values = [metric_value(r, counter) for r in records
+              if r.get("name") == name]
+    return [v for v in values if v]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fresh", required=True)
@@ -144,9 +164,13 @@ def main():
         "--min-baseline", type=float, default=0.0,
         help="skip records whose |baseline| value is below this (relative "
              "regression is meaningless near zero)")
-    parser.add_argument("--check-concurrency", action="store_true",
-                        help="also require the scratch-arena >2x win over "
-                             "the mutex-serialized concurrency bench")
+    parser.add_argument(
+        "--check-concurrency", nargs="?", const="", default=None,
+        metavar="JSON",
+        help="also require the scratch-arena >2x win over the mutex-"
+             "serialized concurrency bench, in the medians of at least "
+             f"{CONCURRENT_REPETITIONS} repetitions of each, read from JSON "
+             "(default: --fresh)")
     parser.add_argument(
         "--require-counters", action="append", default=[],
         metavar="BENCH:c1,c2,...",
@@ -217,34 +241,35 @@ def main():
             print(f"  OK       {record['name']}: emits "
                   f"{len(counters)} required counters")
 
-    if args.check_concurrency:
+    if args.check_concurrency is not None:
         cpus = os.cpu_count() or 1
         if cpus < args.min_cpus:
             print(f"  SKIP   concurrency speedup check: {cpus} CPUs "
                   f"< {args.min_cpus}")
         else:
-            arena = find_record(
-                fresh, f"{CONCURRENT_BENCH}/real_time/threads:"
-                       f"{CONCURRENT_THREADS}") or find_record(
-                fresh, CONCURRENT_BENCH)
-            mutex = find_record(fresh, CONCURRENT_MUTEX_BENCH)
-            if arena is None or mutex is None:
-                failures.append("concurrency benches missing from fresh JSON")
+            source = args.check_concurrency or args.fresh
+            records = load_records(source)
+            suffix = f"/real_time/threads:{CONCURRENT_THREADS}"
+            arena = repetitions(records, CONCURRENT_BENCH + suffix,
+                                "items_per_second")
+            mutex = repetitions(records, CONCURRENT_MUTEX_BENCH + suffix,
+                                "items_per_second")
+            if min(len(arena), len(mutex)) < CONCURRENT_REPETITIONS:
+                failures.append(
+                    f"concurrency benches need >= {CONCURRENT_REPETITIONS} "
+                    f"repetitions each with items_per_second in {source}, "
+                    f"found {len(arena)} and {len(mutex)}")
             else:
-                a = metric_value(arena, "items_per_second")
-                m = metric_value(mutex, "items_per_second")
-                if not a or not m:
-                    failures.append("concurrency benches lack items_per_second")
-                else:
-                    ratio = a / m
-                    verdict = "OK" if ratio > args.speedup else "TOO SLOW"
-                    print(f"  {verdict:9s}scratch-arena vs mutex-serialized "
-                          f"aggregate throughput: {ratio:.2f}x "
-                          f"(required > {args.speedup:.1f}x)")
-                    if ratio <= args.speedup:
-                        failures.append(
-                            f"concurrent inference speedup {ratio:.2f}x <= "
-                            f"{args.speedup:.1f}x")
+                ratio = statistics.median(arena) / statistics.median(mutex)
+                verdict = "OK" if ratio > args.speedup else "TOO SLOW"
+                print(f"  {verdict:9s}scratch-arena vs mutex-serialized "
+                      f"aggregate throughput, medians of {len(arena)} and "
+                      f"{len(mutex)} runs: {ratio:.2f}x "
+                      f"(required > {args.speedup:.1f}x)")
+                if ratio <= args.speedup:
+                    failures.append(
+                        f"concurrent inference speedup {ratio:.2f}x <= "
+                        f"{args.speedup:.1f}x")
 
     if failures:
         print("\nBench gate FAILED:")

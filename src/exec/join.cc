@@ -9,30 +9,12 @@
 namespace restore {
 
 Result<size_t> ResolveColumn(const Table& table, const std::string& name) {
-  // Pass 1: exact match.
-  for (size_t i = 0; i < table.NumColumns(); ++i) {
-    if (table.column(i).name() == name) return i;
-  }
-  // Pass 2: unique ".<name>" suffix match.
-  const std::string suffix = "." + name;
-  size_t found = table.NumColumns();
-  size_t matches = 0;
-  for (size_t i = 0; i < table.NumColumns(); ++i) {
-    const std::string& cname = table.column(i).name();
-    if (cname.size() > suffix.size() &&
-        cname.compare(cname.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      found = i;
-      ++matches;
-    }
-  }
-  if (matches == 1) return found;
-  if (matches > 1) {
-    return Status::InvalidArgument(
-        StrFormat("column reference '%s' is ambiguous", name.c_str()));
-  }
-  return Status::NotFound(StrFormat("column '%s' not found in '%s'",
-                                    name.c_str(), table.name().c_str()));
+  return ResolveName(
+      table.NumColumns(),
+      [&table](size_t i) -> const std::string& {
+        return table.column(i).name();
+      },
+      name, table.name());
 }
 
 namespace {
@@ -55,8 +37,14 @@ Status CheckKeyType(const Column& keys) {
 
 }  // namespace
 
-FlatKeyMap::FlatKeyMap()
-    : keys_(16, kNullInt64), values_(16, 0), shift_(64 - 4) {}
+FlatKeyMap::FlatKeyMap(size_t expected_keys) {
+  // Linear probing stays short below half load (see Emplace).
+  int log2_slots = 4;
+  while ((size_t{1} << log2_slots) < 2 * expected_keys) ++log2_slots;
+  keys_.assign(size_t{1} << log2_slots, kNullInt64);
+  values_.reset(new size_t[keys_.size()]);
+  shift_ = 64 - log2_slots;
+}
 
 size_t FlatKeyMap::SlotOf(int64_t key) const {
   // Fibonacci hashing: dense ids spread over the high bits.
@@ -94,15 +82,14 @@ const size_t* FlatKeyMap::Find(int64_t key) const {
 }
 
 size_t FlatKeyMap::MemoryBytes() const {
-  return keys_.capacity() * sizeof(int64_t) +
-         values_.capacity() * sizeof(size_t);
+  return keys_.capacity() * (sizeof(int64_t) + sizeof(size_t));
 }
 
 void FlatKeyMap::Grow() {
   std::vector<int64_t> old_keys = std::move(keys_);
-  std::vector<size_t> old_values = std::move(values_);
+  std::unique_ptr<size_t[]> old_values = std::move(values_);
   keys_.assign(2 * old_keys.size(), kNullInt64);
-  values_.assign(2 * old_keys.size(), 0);
+  values_.reset(new size_t[keys_.size()]);
   --shift_;
   const size_t mask = keys_.size() - 1;
   for (size_t i = 0; i < old_keys.size(); ++i) {
@@ -166,6 +153,9 @@ Result<JoinRows> ProbeJoin(const Column& left_key, const KeyIndex& right,
   RESTORE_RETURN_IF_ERROR(CheckKeyType(left_key));
   const std::vector<int64_t>& keys = left_key.ints();
   JoinRows out;
+  // One slot per left row: a key join's usual size.
+  out.left.reserve(keys.size());
+  out.right.reserve(keys.size());
   for (size_t l = 0; l < keys.size(); ++l) {
     if (l % kJoinCheckStride == 0) {
       RESTORE_RETURN_IF_ERROR(ExecContext::Check(ctx));
@@ -179,20 +169,13 @@ Result<JoinRows> ProbeJoin(const Column& left_key, const KeyIndex& right,
 }
 
 Result<Table> GatherJoin(const Table& left, const Table& right,
-                         const std::string& qualifier, const JoinRows& rows,
-                         size_t extra_rows) {
-  const size_t capacity = rows.left.size() + extra_rows;
+                         const std::string& qualifier, const JoinRows& rows) {
   Table out(left.name() + "_x_" + right.name());
   for (const auto& col : left.columns()) {
-    Column gathered = col.CloneEmpty();
-    gathered.Reserve(capacity);
-    gathered.AppendGather(col, rows.left);
-    RESTORE_RETURN_IF_ERROR(out.AddColumn(std::move(gathered)));
+    RESTORE_RETURN_IF_ERROR(out.AddColumn(col.Gather(rows.left)));
   }
   for (const auto& col : right.columns()) {
-    Column gathered = col.CloneEmpty();
-    gathered.Reserve(capacity);
-    gathered.AppendGather(col, rows.right);
+    Column gathered = col.Gather(rows.right);
     if (!qualifier.empty() && col.name().find('.') == std::string::npos) {
       gathered.set_name(qualifier + "." + col.name());
     }

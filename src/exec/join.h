@@ -1,6 +1,7 @@
 #ifndef RESTORE_EXEC_JOIN_H_
 #define RESTORE_EXEC_JOIN_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,12 +20,19 @@ namespace restore {
 /// Errors if no column or more than one column matches.
 Result<size_t> ResolveColumn(const Table& table, const std::string& name);
 
+/// ResolveColumn's rules over `count` column names, the i-th of which is
+/// `name_at(i)`; `where` names the table in the NotFound message.
+template <typename NameAt>
+Result<size_t> ResolveName(size_t count, const NameAt& name_at,
+                           const std::string& name, const std::string& where);
+
 /// Open-addressing hash map from non-NULL int64 keys to size_t values.
 /// Insert-only; the hash join's key index and per-query key grouping both
 /// run on it, so one hashing scheme serves every equi-join.
 class FlatKeyMap {
  public:
-  FlatKeyMap();
+  /// A map with room for `expected_keys` keys before it first grows.
+  explicit FlatKeyMap(size_t expected_keys = 0);
 
   /// Maps `key` to `value` unless it is present already. Returns the value
   /// stored for `key` and whether this call inserted it. `key` must not be
@@ -42,7 +50,9 @@ class FlatKeyMap {
   void Grow();
 
   std::vector<int64_t> keys_;  // kNullInt64 marks an empty slot
-  std::vector<size_t> values_;
+  // Read only where keys_ holds a key, so never filled: presizing a
+  // per-query map costs one pass over its keys.
+  std::unique_ptr<size_t[]> values_;
   size_t size_ = 0;
   int shift_;  // 64 - log2(slots)
 };
@@ -113,11 +123,9 @@ Result<JoinRows> ProbeJoin(const Column& left_key, const KeyIndex& right,
 /// followed by right columns, named as in the inputs. With a non-empty
 /// `qualifier`, unqualified right names become "<qualifier>.<name>"; a right
 /// name that collides with a left one becomes "<right.name()>.<name>". The
-/// output table is "<left.name()>_x_<right.name()>", and every column has
-/// room reserved for `extra_rows` more cells, which the caller appends.
+/// output table is "<left.name()>_x_<right.name()>".
 Result<Table> GatherJoin(const Table& left, const Table& right,
-                         const std::string& qualifier, const JoinRows& rows,
-                         size_t extra_rows = 0);
+                         const std::string& qualifier, const JoinRows& rows);
 
 /// Inner hash equi-join of `left` and `right` on left[left_col] ==
 /// right[right_col]: indexes the right key, probes it with the left key and
@@ -140,6 +148,35 @@ Result<Table> HashJoin(const Table& left, const Table& right,
 Result<Table> NaturalJoinTables(const Database& db,
                                 const std::vector<std::string>& tables,
                                 const ExecContext* ctx = nullptr);
+
+template <typename NameAt>
+Result<size_t> ResolveName(size_t count, const NameAt& name_at,
+                           const std::string& name, const std::string& where) {
+  // Pass 1: exact match.
+  for (size_t i = 0; i < count; ++i) {
+    if (name_at(i) == name) return i;
+  }
+  // Pass 2: unique ".<name>" suffix match.
+  const std::string suffix = "." + name;
+  size_t found = count;
+  size_t matches = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const std::string& cname = name_at(i);
+    if (cname.size() > suffix.size() &&
+        cname.compare(cname.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      found = i;
+      ++matches;
+    }
+  }
+  if (matches == 1) return found;
+  if (matches > 1) {
+    return Status::InvalidArgument("column reference '" + name +
+                                   "' is ambiguous");
+  }
+  return Status::NotFound("column '" + name + "' not found in '" + where +
+                          "'");
+}
 
 }  // namespace restore
 

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <set>
 
 #include "common/fault_injection.h"
@@ -637,35 +638,30 @@ Result<Table> Db::CompleteTable(const std::string& target,
   const ExecContext* use = ctx != nullptr ? ctx : &local;
   RESTORE_ASSIGN_OR_RETURN(std::vector<std::string> path,
                            SelectedPathFor(target, use));
+  // Only the synthesized tuples are read: the join is not written.
+  CompletionOptions options;
+  options.join_columns.emplace();
   RESTORE_ASSIGN_OR_RETURN(CompletionResult completion,
-                           CompleteViaPath(path, CompletionOptions(), use));
+                           CompleteViaPath(path, options, use));
   const std::shared_ptr<const EpochPin> pin = PinnedEpoch(use);
   RESTORE_ASSIGN_OR_RETURN(const Table* base, pin->data->GetTable(target));
 
   // Completed table = existing tuples + synthesized tuples (attr columns;
   // key columns of synthesized tuples are NULL).
+  const std::vector<Column>& synthesized = completion.synthesized[target];
+  std::vector<size_t> tuples(synthesized.empty() ? 0
+                                                 : synthesized.front().size());
+  std::iota(tuples.begin(), tuples.end(), size_t{0});
   Table out(target);
-  auto it = completion.synthesized.find(target);
   for (const auto& col : base->columns()) {
     Column merged = col;
-    if (it != completion.synthesized.end()) {
-      const Column* synth = nullptr;
-      for (const auto& sc : it->second) {
-        if (sc.name() == col.name()) {
-          synth = &sc;
-          break;
-        }
-      }
-      const size_t n = it->second.empty() ? 0 : it->second.front().size();
-      for (size_t r = 0; r < n; ++r) {
-        if (synth == nullptr) {
-          merged.AppendNull();
-        } else if (synth->type() == ColumnType::kDouble) {
-          merged.AppendDouble(synth->GetDouble(r));
-        } else {
-          merged.AppendInt64(synth->GetInt64(r));
-        }
-      }
+    auto synth = std::find_if(
+        synthesized.begin(), synthesized.end(),
+        [&col](const Column& sc) { return sc.name() == col.name(); });
+    if (synth != synthesized.end()) {
+      merged.AppendGather(*synth, tuples);
+    } else {
+      merged.AppendNulls(tuples.size());
     }
     RESTORE_RETURN_IF_ERROR(out.AddColumn(std::move(merged)));
   }
@@ -673,7 +669,8 @@ Result<Table> Db::CompleteTable(const std::string& target,
 }
 
 Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
-    const std::vector<std::string>& tables, const ExecContext* ctx) {
+    const Query& query, const ExecContext* ctx) {
+  const std::vector<std::string>& tables = query.tables;
   ExecStats* stats = ctx != nullptr ? ctx->stats() : nullptr;
   const auto note_lookup = [stats](bool hit) {
     if (stats == nullptr) return;
@@ -805,9 +802,26 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     }
   }
 
+  // A cached join may answer later queries over other columns, so it is
+  // written whole; otherwise only this query's columns are. A query that
+  // reads none (a bare COUNT(*)) keeps one, which carries the join's rows.
+  CompletionOptions options;
+  if (!config_.enable_cache) {
+    std::vector<std::string>& columns = options.join_columns.emplace();
+    for (const auto& agg : query.aggregates) {
+      if (!agg.column.empty()) columns.push_back(agg.column);
+    }
+    for (const auto& pred : query.predicates) columns.push_back(pred.column);
+    columns.insert(columns.end(), query.group_by.begin(),
+                   query.group_by.end());
+    if (columns.empty()) {
+      RESTORE_ASSIGN_OR_RETURN(const Table* first,
+                               snapshot.GetTable(tables[0]));
+      columns.push_back(tables[0] + "." + first->column(0).name());
+    }
+  }
   RESTORE_ASSIGN_OR_RETURN(CompletionResult completion,
-                           CompleteViaPath(extended, CompletionOptions(),
-                                           ctx));
+                           CompleteViaPath(extended, options, ctx));
   auto result = std::make_shared<const Table>(std::move(completion.joined));
   if (config_.enable_cache) {
     std::set<std::string> covered(extended.begin(), extended.end());
@@ -844,7 +858,7 @@ Result<ResultSet> Db::ExecuteCompletedImpl(const Query& query,
     const double selection_before = stats.selection_seconds;
     Timer sample_timer;
     RESTORE_ASSIGN_OR_RETURN(std::shared_ptr<const Table> joined,
-                             CompletedJoinFor(query.tables, &ctx));
+                             CompletedJoinFor(rewritten, &ctx));
     const double sampled = sample_timer.ElapsedSeconds() -
                            (stats.selection_seconds - selection_before);
     stats.sample_seconds += sampled > 0.0 ? sampled : 0.0;

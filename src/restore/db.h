@@ -635,11 +635,13 @@ class Db : public std::enable_shared_from_this<Db> {
   void RefreshWorkerLoop();
   void StopRefresher();
 
-  /// Builds the completed join used to answer a query over `tables`,
-  /// reading and writing the completion cache iff EngineConfig::enable_cache
-  /// and recording hit/miss accounting into the context's stats.
+  /// Builds the completed join used to answer `query` (its column
+  /// references qualified by QualifyQueryColumns), reading and writing the
+  /// completion cache iff EngineConfig::enable_cache and recording hit/miss
+  /// accounting into the context's stats. An uncached multi-table join
+  /// carries only the columns `query` reads.
   Result<std::shared_ptr<const Table>> CompletedJoinFor(
-      const std::vector<std::string>& tables, const ExecContext* ctx);
+      const Query& query, const ExecContext* ctx);
 
   /// Shared body of the two Execute entry points: runs plan -> completion
   /// -> aggregation under one ExecContext bound to `stats` (which already

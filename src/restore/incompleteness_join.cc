@@ -1,11 +1,53 @@
 #include "restore/incompleteness_join.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/string_util.h"
 #include "exec/join.h"
 
 namespace restore {
+
+namespace {
+
+/// The part of path table `table`, with its columns' join names: qualified
+/// by the table unless already qualified, and prefixed once more by the
+/// table's name when an earlier part took the name (GatherJoin's rules).
+JoinPart NewPart(const Table* base, const std::string& table,
+                 const std::vector<JoinPart>& earlier) {
+  JoinPart part;
+  part.base = base;
+  part.names.reserve(base->NumColumns());
+  for (const Column& col : base->columns()) {
+    std::string name = col.name().find('.') == std::string::npos
+                           ? table + "." + col.name()
+                           : col.name();
+    const auto taken = [&name](const std::vector<std::string>& names) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    if (taken(part.names) ||
+        std::any_of(earlier.begin(), earlier.end(),
+                    [&](const JoinPart& p) { return taken(p.names); })) {
+      name = base->name() + "." + name;
+    }
+    part.names.push_back(std::move(name));
+  }
+  return part;
+}
+
+/// `ids` at the hop's existing join rows `left`, then at its synthesized
+/// join rows `synth_rows`.
+std::vector<size_t> NextIds(const std::vector<size_t>& ids,
+                            const std::vector<size_t>& left,
+                            const std::vector<size_t>& synth_rows) {
+  std::vector<size_t> next(left.size() + synth_rows.size());
+  size_t* out = next.data();
+  for (size_t r : left) *out++ = ids[r];
+  for (size_t r : synth_rows) *out++ = ids[r];
+  return next;
+}
+
+}  // namespace
 
 Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
     const PathModel& model, Rng& rng, const CompletionOptions& options,
@@ -20,9 +62,14 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
   CompletionResult result;
   const Database& db = index_->database();
 
+  // The join J so far: one part (row ids) per path table reached.
   RESTORE_ASSIGN_OR_RETURN(const Table* root, db.GetTable(path[0]));
-  Table joined = *root;
-  joined.QualifyColumnNames(path[0]);
+  std::vector<JoinPart> parts;
+  parts.reserve(path.size());
+  parts.push_back(NewPart(root, path[0], parts));
+  parts[0].ids.resize(root->NumRows());
+  std::iota(parts[0].ids.begin(), parts[0].ids.end(), size_t{0});
+  std::string joined_name = root->name();
 
   for (size_t hop = 0; hop + 1 < path.size(); ++hop) {
     RESTORE_RETURN_IF_ERROR(ExecContext::Check(ctx));
@@ -30,13 +77,14 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
     RESTORE_ASSIGN_OR_RETURN(ForeignKey fk,
                              db.FindForeignKey(path[hop], target));
     RESTORE_ASSIGN_OR_RETURN(const Table* target_base, db.GetTable(target));
+    const JoinView joined(parts, joined_name);
 
     const bool fanout = model.HopIsFanOut(hop);
     const std::string left_key =
         fanout ? fk.parent_table + "." + fk.parent_column
                : fk.child_table + "." + fk.child_column;
-    RESTORE_ASSIGN_OR_RETURN(size_t lk_idx, ResolveColumn(joined, left_key));
-    const Column& lk_col = joined.column(lk_idx);
+    RESTORE_ASSIGN_OR_RETURN(JoinColumn lk_ref, joined.Resolve(left_key));
+    const Column lk_col = lk_ref.Materialize();
     // The build side: the target's children per parent key (fan-out) or
     // its rows per primary key (n:1).
     RESTORE_ASSIGN_OR_RETURN(
@@ -47,8 +95,12 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
     RESTORE_ASSIGN_OR_RETURN(JoinRows existing,
                              ProbeJoin(lk_col, *target_keys, ctx));
 
-    // 2. Determine what to synthesize.
+    // 2. Determine what to synthesize. The probe's pairs give each J row's
+    // number of join partners: a fan-out parent's available children, and
+    // an n:1 row's orphan test, without a second key lookup.
     const size_t num_rows = joined.NumRows();
+    std::vector<size_t> partners(num_rows, 0);
+    for (size_t l : existing.left) ++partners[l];
     std::vector<size_t> synth_rows;      // J row per synthesized tuple
     std::vector<size_t> synth_group;     // unique-tuple index per J row
     size_t unique_synth = 0;
@@ -65,7 +117,7 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
       // each key (and every NULL-key row) is encoded and predicted.
       std::vector<size_t> parent_rows;      // first J row per parent
       std::vector<size_t> parent_of_row(num_rows);
-      FlatKeyMap parent_of_key;
+      FlatKeyMap parent_of_key(num_rows);
       for (size_t r = 0; r < num_rows; ++r) {
         const int64_t key = lk_col.GetInt64(r);
         if (key == kNullInt64) {
@@ -81,8 +133,7 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
       // Current join partners of each parent in the available target.
       std::vector<int64_t> have_counts(parent_rows.size());
       for (size_t p = 0; p < parent_rows.size(); ++p) {
-        have_counts[p] = static_cast<int64_t>(
-            target_keys->Count(lk_col.GetInt64(parent_rows[p])));
+        have_counts[p] = static_cast<int64_t>(partners[parent_rows[p]]);
       }
       RESTORE_ASSIGN_OR_RETURN(
           parent_codes,
@@ -123,23 +174,18 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
       // Orphan identity: J rows belonging to the same child tuple (possible
       // after earlier fan-out duplication) must share one synthesized
       // parent. The child's primary key serves as the identity.
-      const Column* ident_col = nullptr;
-      {
-        auto ident_idx = ResolveColumn(joined, fk.child_table + ".id");
-        if (ident_idx.ok()) ident_col = &joined.column(ident_idx.value());
-      }
-      FlatKeyMap group_of_key;
-      FlatKeyMap group_of_ident;
+      const Result<JoinColumn> ident = joined.Resolve(fk.child_table + ".id");
+      FlatKeyMap group_of_key(num_rows);
+      FlatKeyMap group_of_ident(num_rows);
       size_t null_orphans = 0;
       size_t null_group = 0;
       for (size_t r = 0; r < num_rows; ++r) {
+        if (partners[r] > 0) continue;
         const int64_t key = lk_col.GetInt64(r);
-        if (target_keys->Contains(key)) continue;
         size_t group;
         if (key == kNullInt64) {
-          const int64_t ident =
-              ident_col != nullptr ? ident_col->GetInt64(r) : kNullInt64;
-          const size_t* known = group_of_ident.Find(ident);
+          const int64_t id = ident.ok() ? ident->GetInt64(r) : kNullInt64;
+          const size_t* known = group_of_ident.Find(id);
           if (known != nullptr) {
             group = *known;
           } else {
@@ -149,7 +195,7 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
             }
             ++null_orphans;
             group = null_group;
-            if (ident != kNullInt64) group_of_ident.Emplace(ident, group);
+            if (id != kNullInt64) group_of_ident.Emplace(id, group);
           }
         } else {
           const auto [g, inserted] = group_of_key.Emplace(key, unique_synth);
@@ -218,78 +264,85 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
       }
     }
 
-    // 5. Write the hop's output once: the existing rows, then the
-    // synthesized rows — the old J columns followed by the target columns.
-    RESTORE_ASSIGN_OR_RETURN(
-        Table next, GatherJoin(joined, *target_base, target, existing,
-                               synth_rows.size()));
-    for (size_t c = 0; c < joined.NumColumns(); ++c) {
-      next.column(c).AppendGather(joined.column(c), synth_rows);
+    // 5. The hop's output as ids: the existing rows, then the synthesized
+    // rows. Earlier tables keep the ids of the J rows each output row came
+    // from; the target's ids point at its base rows, at the replacement
+    // rows, or past the base rows into the block synthesized here — one
+    // block row per unique tuple on a fan-out hop, and per join row on an
+    // n:1 hop, whose parents may get a fresh key per row.
+    for (JoinPart& part : parts) {
+      part.ids = NextIds(part.ids, existing.left, synth_rows);
     }
-    std::vector<size_t> replaced;  // target_base row per synthesized row
-    if (replace) {
-      replaced.reserve(synth_rows.size());
-      for (size_t g : synth_group) replaced.push_back(replacement_rows[g]);
+    JoinPart next = NewPart(target_base, target, parts);
+    next.ids = std::move(existing.right);
+    next.ids.resize(existing.left.size() + synth_rows.size());
+    size_t* synth_ids = next.ids.data() + existing.left.size();
+    const size_t base_rows = target_base->NumRows();
+    for (size_t i = 0; i < synth_rows.size(); ++i) {
+      const size_t g = synth_group[i];
+      synth_ids[i] = replace ? replacement_rows[g]
+                             : base_rows + (fanout ? g : i);
     }
-    for (size_t c = 0; c < target_base->NumColumns(); ++c) {
-      const Column& rcol = target_base->column(c);
-      const std::string& base_name = rcol.name();
-      Column& out = next.column(joined.NumColumns() + c);
-
-      if (replace) {
-        // Copy every column (attributes AND keys) from the replacement row.
-        out.AppendGather(rcol, replaced);
-        continue;
-      }
-
-      const Column* synth_col = nullptr;
-      for (const auto& sc : synth_attrs) {
-        if (sc.name() == base_name) {
-          synth_col = &sc;
-          break;
+    if (!replace && unique_synth > 0) {
+      const size_t block_rows = fanout ? unique_synth : synth_rows.size();
+      for (const Column& rcol : target_base->columns()) {
+        const std::string& base_name = rcol.name();
+        Column out = rcol.CloneEmpty();
+        const Column* synth_col = nullptr;
+        for (const auto& sc : synth_attrs) {
+          if (sc.name() == base_name) {
+            synth_col = &sc;
+            break;
+          }
         }
-      }
-      if (synth_col != nullptr) {
-        out.AppendGather(*synth_col, synth_group);
-      } else if (base_name == fk.child_column && fanout) {
-        // FK back to the evidence table: the evidence row's key.
-        out.AppendGather(lk_col, synth_rows);
-      } else if (base_name == fk.parent_column && !fanout) {
-        // The missing parent's key, when the child row knew it.
-        std::vector<int64_t> group_key(unique_synth, kNullInt64);
-        for (size_t i = 0; i < synth_rows.size(); ++i) {
-          const int64_t key = lk_col.GetInt64(synth_rows[i]);
-          if (key != kNullInt64) group_key[synth_group[i]] = key;
-        }
-        for (size_t i = 0; i < synth_rows.size(); ++i) {
-          int64_t key = group_key[synth_group[i]];
-          if (key == kNullInt64) key = next_synthetic_id_--;
-          out.AppendInt64(key);
-        }
-      } else if (fanout && [&] {
-                   // Primary key of the target: either referenced by other
-                   // FKs or the conventional "id" column. Synthesized tuples
-                   // get fresh negative ids so later hops can identify them.
-                   if (base_name == "id") return true;
-                   for (const auto& other : db.foreign_keys()) {
-                     if (other.parent_table == target &&
-                         other.parent_column == base_name) {
-                       return true;
+        if (synth_col != nullptr) {
+          if (fanout) {
+            out = *synth_col;
+          } else {
+            out.AppendGather(*synth_col, synth_group);
+          }
+        } else if (base_name == fk.child_column && fanout) {
+          // FK back to the evidence table: the parent's key.
+          out.AppendGather(lk_col, rep_rows);
+        } else if (base_name == fk.parent_column && !fanout) {
+          // The missing parent's key, when the child row knew it.
+          std::vector<int64_t> group_key(unique_synth, kNullInt64);
+          for (size_t i = 0; i < synth_rows.size(); ++i) {
+            const int64_t key = lk_col.GetInt64(synth_rows[i]);
+            if (key != kNullInt64) group_key[synth_group[i]] = key;
+          }
+          for (size_t i = 0; i < synth_rows.size(); ++i) {
+            int64_t key = group_key[synth_group[i]];
+            if (key == kNullInt64) key = next_synthetic_id_--;
+            out.AppendInt64(key);
+          }
+        } else if (fanout && [&] {
+                     // Primary key of the target: either referenced by other
+                     // FKs or the conventional "id" column. Synthesized
+                     // tuples get fresh negative ids so later hops can
+                     // identify them.
+                     if (base_name == "id") return true;
+                     for (const auto& other : db.foreign_keys()) {
+                       if (other.parent_table == target &&
+                           other.parent_column == base_name) {
+                         return true;
+                       }
                      }
-                   }
-                   return false;
-                 }()) {
-        // Fresh synthetic ids that never collide with real keys.
-        std::vector<int64_t> group_id(unique_synth, 0);
-        for (size_t g = 0; g < unique_synth; ++g) {
-          group_id[g] = next_synthetic_id_--;
+                     return false;
+                   }()) {
+          // Fresh synthetic ids that never collide with real keys.
+          for (size_t g = 0; g < unique_synth; ++g) {
+            out.AppendInt64(next_synthetic_id_--);
+          }
+        } else {
+          // Unknown keys / unmodeled columns / tuple factors: NULL.
+          out.AppendNulls(block_rows);
         }
-        for (size_t g : synth_group) out.AppendInt64(group_id[g]);
-      } else {
-        // Unknown keys / unmodeled columns / tuple factors: NULL.
-        for (size_t i = 0; i < synth_rows.size(); ++i) out.AppendNull();
+        RESTORE_RETURN_IF_ERROR(next.synthesized.AddColumn(std::move(out)));
       }
     }
+    parts.push_back(std::move(next));
+    joined_name += "_x_" + target_base->name();
 
     // 6. Bookkeeping for incomplete tables (bias-reduction metrics).
     if (annotation_->IsIncomplete(target) && unique_synth > 0) {
@@ -298,7 +351,7 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
         store = std::move(synth_attrs);
       } else {
         std::vector<size_t> all(unique_synth);
-        for (size_t g = 0; g < unique_synth; ++g) all[g] = g;
+        std::iota(all.begin(), all.end(), size_t{0});
         for (size_t a = 0; a < store.size(); ++a) {
           store[a].AppendGather(synth_attrs[a], all);
         }
@@ -308,9 +361,20 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
 
     result.existing_join_rows = existing.left.size();
     result.synthesized_join_rows = synth_rows.size();
-    joined = std::move(next);
   }
 
+  // Write the join once, with the columns the caller reads.
+  const std::optional<std::vector<std::string>>& wanted = options.join_columns;
+  const JoinView view(parts, joined_name);
+  Table joined(joined_name);
+  for (const JoinColumn& col : view.columns()) {
+    if (wanted.has_value() &&
+        std::find(wanted->begin(), wanted->end(), col.name()) ==
+            wanted->end()) {
+      continue;
+    }
+    RESTORE_RETURN_IF_ERROR(joined.AddColumn(col.Materialize()));
+  }
   result.joined = std::move(joined);
   return result;
 }

@@ -66,16 +66,6 @@ double LogGamma(double x) {
 #endif
 }
 
-/// True if the partial join `joined` (qualified "table.column" names)
-/// already carries columns of base table `table`.
-bool JoinsTable(const Table& joined, const std::string& table) {
-  const std::string prefix = table + ".";
-  for (size_t c = 0; c < joined.NumColumns(); ++c) {
-    if (StartsWith(joined.column(c).name(), prefix)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<PathModel>> PathModel::Train(
@@ -596,7 +586,7 @@ Status PathModel::RunTraining() {
 }
 
 Result<IntMatrix> PathModel::EncodeEvidencePrefix(
-    const Database& db, const Table& joined, size_t upto_table,
+    const Database& db, const JoinView& joined, size_t upto_table,
     const std::vector<size_t>& rows, const SnapshotIndex* index) const {
   std::optional<SnapshotIndex> local;
   if (index == nullptr) index = &local.emplace(db);
@@ -617,12 +607,12 @@ Result<IntMatrix> PathModel::EncodeEvidencePrefix(
     }
     if (!in_prefix) continue;
 
-    auto ci = ResolveColumn(joined, attr.qualified);
+    auto col = joined.Resolve(attr.qualified);
     if (!attr.is_tuple_factor) {
-      if (!ci.ok()) return ci.status();
-      const Column& col = joined.column(ci.value());
+      if (!col.ok()) return col.status();
       for (size_t i = 0; i < rows.size(); ++i) {
-        const int32_t code = attr.disc.EncodeCell(col, rows[i]);
+        const auto [cells, row] = col->Locate(rows[i]);
+        const int32_t code = attr.disc.EncodeCell(*cells, row);
         codes.at(i, a) = std::max<int32_t>(0, code);
       }
       continue;
@@ -640,14 +630,12 @@ Result<IntMatrix> PathModel::EncodeEvidencePrefix(
                              index->Keys(parent, fk.parent_column));
     RESTORE_ASSIGN_OR_RETURN(const KeyIndex* child_keys,
                              index->Keys(child, fk.child_column));
-    RESTORE_ASSIGN_OR_RETURN(
-        size_t key_ci, ResolveColumn(joined, parent + "." + fk.parent_column));
-    const Column& key_col = joined.column(key_ci);
-    const bool has_obs = ci.ok();
+    RESTORE_ASSIGN_OR_RETURN(JoinColumn key_col,
+                             joined.Resolve(parent + "." + fk.parent_column));
     for (size_t i = 0; i < rows.size(); ++i) {
       int64_t tf = kNullInt64;
-      if (has_obs && !joined.column(ci.value()).IsNull(rows[i])) {
-        tf = joined.column(ci.value()).GetInt64(rows[i]);
+      if (col.ok() && !col->IsNull(rows[i])) {
+        tf = col->GetInt64(rows[i]);
       } else {
         // Only keys of the parent table count: a parent synthesized with a
         // known but absent key reads 0, not its stray children.
@@ -662,7 +650,7 @@ Result<IntMatrix> PathModel::EncodeEvidencePrefix(
   return codes;
 }
 
-Status PathModel::ComputeContext(const Table& joined,
+Status PathModel::ComputeContext(const JoinView& joined,
                                  const std::vector<size_t>& rows,
                                  InferenceScratch* scratch) const {
   if (!ssar_enabled_) {
@@ -674,14 +662,13 @@ Status PathModel::ComputeContext(const Table& joined,
   // empty-child-set context (null keys match no children): the context
   // training gives a root without children.
   std::vector<int64_t> keys(rows.size(), kNullInt64);
-  auto ki = ResolveColumn(joined, ssar_root_table_ + "." + ssar_root_key_);
-  if (ki.ok()) {
-    const Column& key_col = joined.column(ki.value());
+  auto key_col = joined.Resolve(ssar_root_table_ + "." + ssar_root_key_);
+  if (key_col.ok()) {
     for (size_t i = 0; i < rows.size(); ++i) {
-      keys[i] = key_col.GetInt64(rows[i]);
+      keys[i] = key_col->GetInt64(rows[i]);
     }
-  } else if (JoinsTable(joined, ssar_root_table_)) {
-    return ki.status();
+  } else if (joined.JoinsTable(ssar_root_table_)) {
+    return key_col.status();
   }
   RESTORE_ASSIGN_OR_RETURN(std::vector<ChildBatch> children,
                            BuildChildBatches(keys, nullptr));
@@ -722,7 +709,7 @@ void PathModel::BuildTfPosteriorTables() {
 }
 
 Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
-    const Database& db, const Table& joined, IntMatrix* codes,
+    const Database& db, const JoinView& joined, IntMatrix* codes,
     const std::vector<size_t>& rows, size_t hop, Rng& rng,
     const std::vector<int64_t>* available_counts,
     const ExecContext* ctx) const {
@@ -744,12 +731,11 @@ Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
   const PathAttr& attr = attrs_[tf_attr];
   // Observed TFs take precedence; only unobserved rows are predicted.
   std::vector<int64_t> out(rows.size(), kNullInt64);
-  auto obs_ci = ResolveColumn(joined, attr.qualified);
+  auto obs = joined.Resolve(attr.qualified);
   std::vector<size_t> unobserved;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (obs_ci.ok() && !joined.column(obs_ci.value()).IsNull(rows[i])) {
-      out[i] = ClampTf(joined.column(obs_ci.value()).GetInt64(rows[i]),
-                       config_.tf_cap);
+    if (obs.ok() && !obs->IsNull(rows[i])) {
+      out[i] = ClampTf(obs->GetInt64(rows[i]), config_.tf_cap);
       codes->at(i, tf_attr) = static_cast<int32_t>(out[i]);
     } else {
       unobserved.push_back(i);
@@ -812,7 +798,7 @@ Result<std::vector<int64_t>> PathModel::SampleTupleFactors(
 }
 
 Result<std::vector<Column>> PathModel::SynthesizeHop(
-    const Database& db, const Table& joined, IntMatrix* codes,
+    const Database& db, const JoinView& joined, IntMatrix* codes,
     const std::vector<size_t>& rows, size_t hop, Rng& rng, int record_attr,
     Matrix* recorded, const ExecContext* ctx) const {
   RESTORE_RETURN_IF_ERROR(ExecContext::Check(ctx));
@@ -851,7 +837,7 @@ Result<std::vector<Column>> PathModel::SynthesizeHop(
 }
 
 Result<Matrix> PathModel::PredictAttrDistribution(
-    const Database& db, const Table& joined, const IntMatrix& codes,
+    const Database& db, const JoinView& joined, const IntMatrix& codes,
     const std::vector<size_t>& rows, size_t attr,
     const ExecContext* ctx) const {
   (void)db;

@@ -16,6 +16,7 @@
 #include "nn/made.h"
 #include "restore/annotation.h"
 #include "restore/discretizer.h"
+#include "restore/join_view.h"
 #include "storage/database.h"
 
 namespace restore {
@@ -141,9 +142,12 @@ class PathModel {
   }
 
   // ---- Completion-time inference -------------------------------------------
+  // Each entry point reads its evidence rows from `joined`, a join of the
+  // path's first tables whose columns are qualified ("table.column"): a
+  // plain Table, or the executor's row-id join, through the same JoinView.
+
   /// Encodes the attributes of tables path[0..upto_table] from the rows
-  /// `rows` of a joined table `joined` whose columns are qualified
-  /// ("table.column"). Attributes beyond the prefix are zero-filled.
+  /// `rows` of `joined`. Attributes beyond the prefix are zero-filled.
   ///
   /// An unobserved (NULL) tuple factor in the prefix encodes to its
   /// available-count fallback: the number of child rows in `db` whose FK
@@ -152,7 +156,7 @@ class PathModel {
   /// `index`, which must index `db` (the epoch's index for Db callers);
   /// without one the call builds a call-local index.
   Result<IntMatrix> EncodeEvidencePrefix(
-      const Database& db, const Table& joined, size_t upto_table,
+      const Database& db, const JoinView& joined, size_t upto_table,
       const std::vector<size_t>& rows,
       const SnapshotIndex* index = nullptr) const;
 
@@ -178,7 +182,7 @@ class PathModel {
   /// query's execution context: it is checked cooperatively before each
   /// model batch, and leased scratch arenas are counted into its ExecStats.
   Result<std::vector<int64_t>> SampleTupleFactors(
-      const Database& db, const Table& joined, IntMatrix* codes,
+      const Database& db, const JoinView& joined, IntMatrix* codes,
       const std::vector<size_t>& rows, size_t hop, Rng& rng,
       const std::vector<int64_t>* available_counts = nullptr,
       const ExecContext* ctx = nullptr) const;
@@ -193,7 +197,7 @@ class PathModel {
   /// predictive distribution of that attribute is appended per row to
   /// `recorded` (for confidence intervals).
   Result<std::vector<Column>> SynthesizeHop(
-      const Database& db, const Table& joined, IntMatrix* codes,
+      const Database& db, const JoinView& joined, IntMatrix* codes,
       const std::vector<size_t>& rows, size_t hop, Rng& rng,
       int record_attr = -1, Matrix* recorded = nullptr,
       const ExecContext* ctx = nullptr) const;
@@ -201,7 +205,7 @@ class PathModel {
   /// Predictive distribution of a single attribute given the encoded prefix
   /// (used by the confidence machinery and tests).
   Result<Matrix> PredictAttrDistribution(const Database& db,
-                                         const Table& joined,
+                                         const JoinView& joined,
                                          const IntMatrix& codes,
                                          const std::vector<size_t>& rows,
                                          size_t attr,
@@ -244,7 +248,7 @@ class PathModel {
   /// Computes the SSAR context for completion-time evidence rows into
   /// `scratch->context` (resized to empty for plain AR models). All
   /// workspace comes from `scratch`, keeping the path reentrant.
-  Status ComputeContext(const Table& joined, const std::vector<size_t>& rows,
+  Status ComputeContext(const JoinView& joined, const std::vector<size_t>& rows,
                         InferenceScratch* scratch) const;
 
   /// Tabulates tf_posterior_ from the TF discretizers and keep ratios.

@@ -178,7 +178,9 @@ Result<size_t> SelectPath(
     if (!probe.ok()) continue;
     IncompletenessJoinExecutor exec(&index, &annotation);
     Rng crng(seed + 1);
-    auto completion = exec.CompletePathJoin(**probe, crng);
+    CompletionOptions synthesized_only;  // the score reads no join column
+    synthesized_only.join_columns.emplace();
+    auto completion = exec.CompletePathJoin(**probe, crng, synthesized_only);
     if (!completion.ok()) continue;
     // Reconstructed mean of the statistic over existing + synthesized rows.
     double sum = 0.0;

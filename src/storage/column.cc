@@ -25,17 +25,27 @@ Result<int64_t> Dictionary::Lookup(const std::string& value) const {
 }
 
 Column::Column(std::string name, ColumnType type)
-    : name_(std::move(name)), type_(type) {
-  if (type_ == ColumnType::kCategorical) {
-    dictionary_ = std::make_shared<Dictionary>();
-  }
-}
+    : Column(std::move(name), type,
+             type == ColumnType::kCategorical ? std::make_shared<Dictionary>()
+                                              : nullptr) {}
+
+Column::Column(std::string name, ColumnType type,
+               std::shared_ptr<Dictionary> dictionary)
+    : name_(std::move(name)), type_(type), dictionary_(std::move(dictionary)) {}
 
 void Column::AppendNull() {
   if (type_ == ColumnType::kDouble) {
     doubles_.push_back(NullDouble());
   } else {
     ints_.push_back(kNullInt64);
+  }
+}
+
+void Column::AppendNulls(size_t n) {
+  if (type_ == ColumnType::kDouble) {
+    doubles_.resize(doubles_.size() + n, NullDouble());
+  } else {
+    ints_.resize(ints_.size() + n, kNullInt64);
   }
 }
 
@@ -90,24 +100,60 @@ Value Column::GetValue(size_t row) const {
 }
 
 Column Column::CloneEmpty() const {
-  Column out(name_, type_);
-  out.dictionary_ = dictionary_;
-  return out;
+  return Column(name_, type_, dictionary_);
 }
 
 Column Column::Gather(const std::vector<size_t>& rows) const {
   Column out = CloneEmpty();
-  out.Reserve(rows.size());
   out.AppendGather(*this, rows);
   return out;
 }
 
+namespace {
+
+/// Appends `src[rows[i]]` for every i: one resize, then indexed writes.
+template <typename T>
+void GatherCells(const std::vector<T>& src, const std::vector<size_t>& rows,
+                 std::vector<T>* out) {
+  const size_t at = out->size();
+  out->resize(at + rows.size());
+  T* dst = out->data() + at;
+  for (size_t i = 0; i < rows.size(); ++i) dst[i] = src[rows[i]];
+}
+
+/// GatherCells over `src` followed by `more`.
+template <typename T>
+void GatherCells(const std::vector<T>& src, const std::vector<T>& more,
+                 const std::vector<size_t>& ids, std::vector<T>* out) {
+  const size_t at = out->size();
+  out->resize(at + ids.size());
+  T* dst = out->data() + at;
+  const size_t split = src.size();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const size_t id = ids[i];
+    dst[i] = id < split ? src[id] : more[id - split];
+  }
+}
+
+}  // namespace
+
 void Column::AppendGather(const Column& src, const std::vector<size_t>& rows) {
   assert((type_ == ColumnType::kDouble) == (src.type_ == ColumnType::kDouble));
   if (type_ == ColumnType::kDouble) {
-    for (size_t r : rows) doubles_.push_back(src.doubles_[r]);
+    GatherCells(src.doubles_, rows, &doubles_);
   } else {
-    for (size_t r : rows) ints_.push_back(src.ints_[r]);
+    GatherCells(src.ints_, rows, &ints_);
+  }
+}
+
+void Column::AppendGather(const Column& src, const Column& more,
+                          const std::vector<size_t>& ids) {
+  assert((type_ == ColumnType::kDouble) == (src.type_ == ColumnType::kDouble));
+  assert((type_ == ColumnType::kDouble) == (more.type_ == ColumnType::kDouble));
+  if (type_ == ColumnType::kDouble) {
+    GatherCells(src.doubles_, more.doubles_, ids, &doubles_);
+  } else {
+    GatherCells(src.ints_, more.ints_, ids, &ints_);
   }
 }
 

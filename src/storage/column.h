@@ -66,6 +66,8 @@ class Column {
   /// Appends an already-encoded categorical code (must be valid or NULL).
   void AppendCode(int64_t code) { ints_.push_back(code); }
   void AppendNull();
+  /// Appends `n` NULL cells.
+  void AppendNulls(size_t n);
   /// Appends a dynamically-typed value; checks type compatibility.
   Status AppendValue(const Value& v);
 
@@ -112,6 +114,12 @@ class Column {
   /// the same kind of cells (double vs. int64/categorical codes); codes are
   /// copied verbatim, so categorical columns should share a dictionary.
   void AppendGather(const Column& src, const std::vector<size_t>& rows);
+  /// Appends, per entry `id` of `ids`, cell `id` of `src`, or cell
+  /// `id - src.size()` of `more` for an id past the end of `src`: a gather
+  /// over the rows of `src` followed by those of `more`, without writing the
+  /// two out as one column. Both store the kind of cells this column does.
+  void AppendGather(const Column& src, const Column& more,
+                    const std::vector<size_t>& ids);
 
   void Reserve(size_t n) {
     if (type_ == ColumnType::kDouble)
@@ -121,6 +129,10 @@ class Column {
   }
 
  private:
+  /// A column over `dictionary` (null unless categorical).
+  Column(std::string name, ColumnType type,
+         std::shared_ptr<Dictionary> dictionary);
+
   std::string name_;
   ColumnType type_;
   std::vector<int64_t> ints_;

@@ -353,6 +353,36 @@ TEST(IncompletenessJoinTest, RestoresCardinality) {
             result->existing_join_rows + result->synthesized_join_rows);
   EXPECT_TRUE(result->joined.HasColumn("table_a.a"));
   EXPECT_TRUE(result->joined.HasColumn("table_b.b"));
+
+  // A caller that reads fewer join columns gets exactly those, in join
+  // order and with the full join's cells; one that reads none gets the
+  // same synthesized tuples and no join.
+  for (const auto& wanted : {std::vector<std::string>{"table_b.b", "table_a.a"},
+                             std::vector<std::string>{}}) {
+    IncompletenessJoinExecutor fresh(&index, &s.annotation);
+    Rng same(71);
+    CompletionOptions options;
+    options.join_columns = wanted;
+    auto narrow = fresh.CompletePathJoin(**model, same, options);
+    ASSERT_TRUE(narrow.ok()) << narrow.status();
+    ASSERT_EQ(narrow->joined.NumColumns(), wanted.size());
+    for (size_t c = 0; c < wanted.size(); ++c) {
+      const Column& col = narrow->joined.column(c);
+      EXPECT_EQ(col.name(), wanted[wanted.size() - 1 - c]);
+      const Column& full = *result->joined.GetColumn(col.name()).value();
+      ASSERT_EQ(col.size(), full.size()) << col.name();
+      EXPECT_EQ(col.ints(), full.ints()) << col.name();
+      if (col.type() == ColumnType::kDouble) {
+        EXPECT_EQ(std::memcmp(col.doubles().data(), full.doubles().data(),
+                              col.size() * sizeof(double)),
+                  0)
+            << col.name();
+      }
+    }
+    EXPECT_EQ(narrow->synthesized_counts, result->synthesized_counts);
+    EXPECT_EQ(narrow->existing_join_rows, result->existing_join_rows);
+    EXPECT_EQ(narrow->synthesized_join_rows, result->synthesized_join_rows);
+  }
 }
 
 TEST(IncompletenessJoinTest, ReducesBiasWhenPredictable) {

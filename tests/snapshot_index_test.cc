@@ -1,7 +1,8 @@
 // Tests for the per-snapshot index of the incompleteness join: the key
-// index (the hash join's build side) against brute-force scans, the probe's
-// output order, the n:1 orphan fan-in, the cached Euclidean replacer against
-// a fresh build, and the lazily-filled slots of SnapshotIndex.
+// index (the hash join's build side) and a presized FlatKeyMap against
+// brute-force scans, the probe's output order, the n:1 orphan fan-in, the
+// cached Euclidean replacer against a fresh build, and the lazily-filled
+// slots of SnapshotIndex.
 
 #include <algorithm>
 #include <cmath>
@@ -100,6 +101,47 @@ TEST(KeyIndexTest, IndexesCategoricalCodesAndRejectsDoubles) {
   Column doubles("d", ColumnType::kDouble);
   doubles.AppendDouble(1.0);
   EXPECT_TRUE(KeyIndex::Build(doubles).status().IsInvalidArgument());
+}
+
+TEST(FlatKeyMapTest, PresizedMapGrowsPastItsCapacityAndKeepsEveryKey) {
+  // Sized for 40 keys, then filled with ~2000 distinct ones (negative,
+  // repeated and spread keys included): every key must keep its first
+  // value, and absent keys must stay absent.
+  Rng rng(17);
+  FlatKeyMap map(40);
+  const size_t initial_bytes = map.MemoryBytes();
+  std::vector<std::pair<int64_t, size_t>> inserted;
+  for (size_t i = 0; i < 3000; ++i) {
+    const int64_t key = static_cast<int64_t>(rng.NextUint64(4000)) - 2000 +
+                        (i % 3 == 0 ? int64_t{1} << 40 : 0);
+    const auto [value, fresh] = map.Emplace(key, i);
+    // Brute force: the first insertion of `key`, if any.
+    auto first = std::find_if(inserted.begin(), inserted.end(),
+                              [key](const auto& kv) { return kv.first == key; });
+    EXPECT_EQ(fresh, first == inserted.end()) << "key " << key;
+    EXPECT_EQ(value, fresh ? i : first->second) << "key " << key;
+    if (fresh) inserted.emplace_back(key, i);
+  }
+  EXPECT_GT(map.MemoryBytes(), initial_bytes);
+  EXPECT_EQ(map.size(), inserted.size());
+  for (const auto& [key, value] : inserted) {
+    const size_t* found = map.Find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, value) << "key " << key;
+  }
+  for (int64_t key : {int64_t{-2001}, int64_t{2000}, int64_t{1} << 50,
+                      kNullInt64}) {
+    EXPECT_EQ(map.Find(key), nullptr) << "key " << key;
+  }
+  // A map sized for n keys holds them without growing.
+  FlatKeyMap sized(inserted.size());
+  const size_t sized_bytes = sized.MemoryBytes();
+  for (const auto& [key, value] : inserted) sized.Emplace(key, value);
+  EXPECT_EQ(sized.MemoryBytes(), sized_bytes);
+  for (const auto& [key, value] : inserted) {
+    ASSERT_NE(sized.Find(key), nullptr);
+    EXPECT_EQ(*sized.Find(key), value);
+  }
 }
 
 TEST(KeyIndexTest, ProbeOrderEqualsNestedLoopJoinOrder) {
