@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -190,26 +189,22 @@ class ExecContext {
     return options_->batch_rows;
   }
 
-  /// RCU snapshot pins. Under live ingestion the Db's base data and its
-  /// path models are shared_ptr epochs that can be hot-swapped mid-query;
-  /// the FIRST lookup of a resource under this context pins the epoch here
-  /// and every later lookup in the same query returns the pinned object, so
-  /// one query never mixes two generations. Keys are owner-chosen (the Db
-  /// uses "data" and "model:<path-key>"); the pinned objects are opaque to
-  /// the exec layer. Like stats(), the pin map is written only from the
-  /// single thread driving the query, hence const methods without locking.
-  std::shared_ptr<const void> GetPin(const std::string& key) const {
-    auto it = pins_.find(key);
-    return it == pins_.end() ? nullptr : it->second;
-  }
-  void SetPin(const std::string& key, std::shared_ptr<const void> obj) const {
-    pins_[key] = std::move(obj);
+  /// RCU snapshot pin. Under live ingestion the Db publishes one immutable
+  /// epoch object (its data, join index and model heads) per ingest or
+  /// model hot swap; the query's first data touch pins the current one
+  /// here and every later lookup in the same query reads it, so one query
+  /// never mixes two epochs. Opaque to the exec layer. Like stats(), it is
+  /// written only from the single thread driving the query, hence const
+  /// methods without locking.
+  const std::shared_ptr<const void>& pin() const { return pin_; }
+  void set_pin(std::shared_ptr<const void> pin) const {
+    pin_ = std::move(pin);
   }
 
  private:
   const QueryOptions* options_;
   ExecStats* stats_;
-  mutable std::map<std::string, std::shared_ptr<const void>> pins_;
+  mutable std::shared_ptr<const void> pin_;
 };
 
 }  // namespace restore

@@ -38,10 +38,6 @@ constexpr uint32_t kModelVersion = 1;
 constexpr uint32_t kCurrentVersion = 1;
 constexpr const char kManifestName[] = "restore_models.manifest";
 constexpr const char kCurrentName[] = "CURRENT";
-// Generations retained in a path's in-memory entry chain for queries pinned
-// at older epochs. Queries pin an epoch only for their own lifetime, so a
-// handful is plenty; anything older resolves to the oldest retained one.
-constexpr int kMaxChainedGens = 4;
 
 std::string ModelFileName(const std::string& path_key) {
   char buf[32];
@@ -187,11 +183,15 @@ Db::Db(const Database* database, SchemaAnnotation annotation,
     : database_(database),
       annotation_(std::move(annotation)),
       config_(std::move(config)),
-      cache_(config_.cache_budget_bytes),
-      // Non-owning alias: until the first Append, the published snapshot IS
-      // the caller's database — the frozen path copies nothing.
-      data_(std::shared_ptr<const Database>(), database),
-      index_(std::make_shared<const SnapshotIndex>(data_)) {}
+      cache_(config_.cache_budget_bytes) {
+  auto pin = std::make_shared<EpochPin>();
+  // Non-owning alias: until the first Append, the published snapshot IS
+  // the caller's database — the frozen path copies nothing.
+  pin->data = std::shared_ptr<const Database>(std::shared_ptr<const Database>(),
+                                              database);
+  pin->index = std::make_shared<const SnapshotIndex>(pin->data);
+  current_ = std::move(pin);
+}
 
 Db::~Db() { StopRefresher(); }
 
@@ -256,9 +256,10 @@ Result<std::shared_ptr<Db>> Db::Open(const Database* database,
 Session Db::CreateSession() { return Session(shared_from_this()); }
 
 std::shared_ptr<const Database> Db::data() const {
-  std::lock_guard<std::mutex> lock(data_mu_);
-  return data_;
+  return PinnedEpoch(nullptr)->data;
 }
+
+uint64_t Db::epoch() const { return PinnedEpoch(nullptr)->epoch; }
 
 uint64_t Db::SeedForPath(const std::string& key) const {
   auto it = path_seeds_.find(key);
@@ -292,11 +293,32 @@ std::shared_ptr<Db::ModelEntry> Db::EntryFor(
   return slot;
 }
 
+uint64_t Db::EpochPin::IngestMark(const std::vector<std::string>& path) const {
+  uint64_t mark = 0;
+  for (const auto& t : path) {
+    auto it = ingested_rows.find(t);
+    if (it != ingested_rows.end()) mark += it->second;
+  }
+  return mark;
+}
+
+std::shared_ptr<Db::ModelEntry> Db::HeadOf(const EpochPin& pin,
+                                           const std::string& key) const {
+  auto swapped = pin.swapped.find(key);
+  if (swapped != pin.swapped.end()) return swapped->second;
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  auto it = models_.find(key);
+  return it == models_.end() ? nullptr : it->second;
+}
+
 std::vector<std::pair<std::string, std::shared_ptr<Db::ModelEntry>>>
-Db::TrainedHeads() const {
+Db::TrainedHeads(const EpochPin& pin) const {
   std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>> heads;
   std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const auto& [key, entry] : models_) {
+  for (const auto& [key, first] : models_) {
+    auto swapped = pin.swapped.find(key);
+    const std::shared_ptr<ModelEntry>& entry =
+        swapped != pin.swapped.end() ? swapped->second : first;
     if (entry->latch.done_ok() && entry->model != nullptr) {
       heads.emplace_back(key, entry);
     }
@@ -307,67 +329,34 @@ Db::TrainedHeads() const {
 bool Db::PublishHead(const std::string& key,
                      const std::shared_ptr<ModelEntry>& expected,
                      const std::shared_ptr<ModelEntry>& fresh) {
-  // Generations cut off the retained chain below; destroyed after every
-  // lock is released (a chain of models may be freed here).
-  std::shared_ptr<ModelEntry> dropped;
-  // Swap order is the whole correctness story: install the new head
-  // FIRST, with publish_epoch one past the current epoch, THEN advance
-  // the epoch. In the window between the two, queries pinned at the old
-  // epoch walk past the new head to their generation; only queries that
-  // pin AFTER the bump see the new one — no query ever mixes. ingest_mu_
-  // serializes against writers so the epoch cannot move underneath the
-  // two-step publication.
+  // The replaced pin is released after every lock: it may hold the last
+  // reference to a snapshot or to a generation no query pins any more.
+  std::shared_ptr<const EpochPin> retired;
   std::lock_guard<std::mutex> writer(ingest_mu_);
-  {
-    std::lock_guard<std::mutex> reg(registry_mu_);
-    auto it = models_.find(key);
-    if (it == models_.end() || it->second != expected) return false;
-    fresh->publish_epoch = epoch_.load(std::memory_order_relaxed) + 1;
-    fresh->prev = expected;
-    it->second = fresh;
-    // Bound the generation chain kept for old-epoch queries. This rewrites
-    // the `prev` of a node reachable from the just-published head (on every
-    // publication after the first, the cut point IS the former head), so it
-    // must happen under registry_mu_ — the mutex readers hold to walk
-    // `prev` in ModelForPath. Queries that already resolved an older
-    // generation keep it alive through their own shared_ptr.
-    ModelEntry* tail = fresh.get();
-    for (int depth = 1; depth < kMaxChainedGens && tail->prev != nullptr;
-         ++depth) {
-      tail = tail->prev.get();
-    }
-    dropped = std::move(tail->prev);
-  }
+  retired = PinnedEpoch(nullptr);
+  if (HeadOf(*retired, key) != expected) return false;
+  // Queries pinned before keep resolving their generation through their
+  // own pin; only queries that pin after the swap see `fresh`.
+  auto next = std::make_shared<EpochPin>(*retired);
+  next->swapped[key] = fresh;
+  ++next->epoch;
   std::lock_guard<std::mutex> lock(data_mu_);
-  epoch_.fetch_add(1, std::memory_order_release);
+  current_ = std::move(next);
   return true;
 }
 
 std::shared_ptr<const Db::EpochPin> Db::PinnedEpoch(
     const ExecContext* ctx) const {
-  if (ctx != nullptr) {
-    auto pinned =
-        std::static_pointer_cast<const EpochPin>(ctx->GetPin("epoch"));
-    if (pinned != nullptr) return pinned;
+  if (ctx != nullptr && ctx->pin() != nullptr) {
+    return std::static_pointer_cast<const EpochPin>(ctx->pin());
   }
-  auto pin = std::make_shared<EpochPin>();
+  std::shared_ptr<const EpochPin> pin;
   {
     std::lock_guard<std::mutex> lock(data_mu_);
-    pin->data = data_;
-    pin->index = index_;
-    pin->epoch = epoch_.load(std::memory_order_relaxed);
+    pin = current_;
   }
-  if (ctx != nullptr) ctx->SetPin("epoch", pin);
+  if (ctx != nullptr) ctx->set_pin(pin);
   return pin;
-}
-
-uint64_t Db::IngestMarkLocked(const std::vector<std::string>& path) const {
-  uint64_t mark = 0;
-  for (const auto& t : path) {
-    auto it = ingested_rows_by_table_.find(t);
-    if (it != ingested_rows_by_table_.end()) mark += it->second;
-  }
-  return mark;
 }
 
 Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
@@ -380,27 +369,13 @@ Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
     ++ctx->stats()->models_consulted;
   }
   const std::string key = PathKey(path);
-  const std::string pin_key = "model:" + key;
-  if (ctx != nullptr) {
-    auto pinned =
-        std::static_pointer_cast<const PathModel>(ctx->GetPin(pin_key));
-    if (pinned != nullptr) return pinned;
-  }
+  // A generation hot-swapped in at or before the query's pin serves it;
+  // otherwise the registry's first generation does (a swap published after
+  // the pin stays invisible to this query).
   const std::shared_ptr<const EpochPin> pin = PinnedEpoch(ctx);
+  auto swapped = pin->swapped.find(key);
+  if (swapped != pin->swapped.end()) return swapped->second->model;
   std::shared_ptr<ModelEntry> entry = EntryFor(key, path);
-  // Resolve the generation visible at the query's pinned epoch: a hot swap
-  // published after the pin must stay invisible to this query, so walk back
-  // to the newest generation published at-or-before it. First trainings and
-  // loaded models publish at epoch 0 and are visible to everyone. The walk
-  // holds registry_mu_ because capping the chain on refresh rewrites the
-  // `prev` of a reachable entry under the same mutex (chain is at most
-  // kMaxChainedGens nodes, so the critical section is tiny).
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    while (entry->publish_epoch > pin->epoch && entry->prev != nullptr) {
-      entry = entry->prev;
-    }
-  }
   // Circuit breaker — consulted only when this path has no good generation
   // to serve (untrained, training, or a cached failure): while open, fail
   // fast with kUnavailable instead of replaying the cached error or piling
@@ -424,8 +399,6 @@ Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
             auto probe = std::make_shared<ModelEntry>();
             probe->path = it->second->path;
             probe->generation = it->second->generation;  // retry, not refresh
-            probe->publish_epoch = it->second->publish_epoch;
-            probe->prev = it->second->prev;
             it->second = probe;
           }
           entry = it->second;
@@ -451,17 +424,12 @@ Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
     // First touch trains on the NEWEST snapshot, not the caller's pin: the
     // run defines this generation for every session, so it uses the freshest
     // data and records the staleness baseline it was trained against.
-    std::shared_ptr<const Database> snapshot;
-    uint64_t mark = 0;
-    {
-      std::lock_guard<std::mutex> lock(data_mu_);
-      snapshot = data_;
-      mark = IngestMarkLocked(path);
-    }
+    const std::shared_ptr<const EpochPin> newest = PinnedEpoch(nullptr);
+    const Database& snapshot = *newest->data;
     PathModelConfig cfg = config_.model;
     cfg.seed = GenerationSeed(key, entry->generation);
     Result<std::unique_ptr<PathModel>> trained =
-        PathModel::Train(*snapshot, annotation_, path, cfg);
+        PathModel::Train(snapshot, annotation_, path, cfg);
     if (!trained.ok()) {
       RecordTrainingResult(key, trained.status());
       return trained.status();
@@ -469,13 +437,13 @@ Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
     RecordTrainingResult(key, Status::OK());
     entry->model =
         std::shared_ptr<const PathModel>(std::move(trained).value());
-    entry->ingest_mark = mark;
-    entry->rows_at_train = TotalPathRows(*snapshot, path);
+    entry->ingest_mark = newest->IngestMark(path);
+    entry->rows_at_train = TotalPathRows(snapshot, path);
     // Drift reference: bounded per-column summaries of the snapshot this
     // generation was trained on, taken while the training data is already
     // hot in cache. Scoring happens only in the refresher/Freshness paths,
     // so the frozen query path stays bit-identical.
-    entry->drift_ref = SummarizeTables(*snapshot, path);
+    entry->drift_ref = SummarizeTables(snapshot, path);
     entry->train_seconds = entry->model->train_seconds();
     models_trained_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -483,9 +451,7 @@ Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
     return Status::OK();
   }, deadline);
   if (!s.ok()) return s;
-  std::shared_ptr<const PathModel> model = entry->model;
-  if (ctx != nullptr) ctx->SetPin(pin_key, model);
-  return model;
+  return entry->model;
 }
 
 double Db::total_train_seconds() const {
@@ -707,15 +673,9 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     if (config_.enable_cache) cache_.Put(key, result, epoch);
     return result;
   }
-  std::set<std::string> table_set(tables.begin(), tables.end());
-  if (config_.enable_cache) {
-    std::shared_ptr<const Table> cached =
-        cache_.GetCovering(table_set, epoch);
-    note_lookup(cached != nullptr);
-    if (cached != nullptr) return cached;
-  }
-
-  // Incomplete tables among the requested join.
+  // Incomplete tables among the requested join. A query over complete
+  // tables only is answered classically, never from a cached completed
+  // join: a covering join repeats each of its tuples per joined child.
   std::vector<std::string> incomplete;
   for (const auto& t : tables) {
     if (annotation_.IsIncomplete(t)) incomplete.push_back(t);
@@ -724,6 +684,13 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     RESTORE_ASSIGN_OR_RETURN(Table joined,
                              NaturalJoinTables(snapshot, tables, ctx));
     return std::make_shared<const Table>(std::move(joined));
+  }
+  std::set<std::string> table_set(tables.begin(), tables.end());
+  if (config_.enable_cache) {
+    std::shared_ptr<const Table> cached =
+        cache_.GetCovering(table_set, epoch);
+    note_lookup(cached != nullptr);
+    if (cached != nullptr) return cached;
   }
 
   // Build the extended completion path: a completion path for the primary
@@ -947,7 +914,7 @@ Db::Stats Db::stats() const {
   out.save_failures = save_failures_.load(std::memory_order_relaxed);
   out.save_failure_streak =
       save_failure_streak_.load(std::memory_order_relaxed);
-  out.epoch = epoch_.load(std::memory_order_acquire);
+  out.epoch = epoch();
   return out;
 }
 
@@ -1022,16 +989,19 @@ Status Db::UpdateTable(Table replacement) {
 
 void Db::PublishData(std::shared_ptr<const Database> next,
                      const std::string& table, uint64_t delta_rows) {
-  auto index = std::make_shared<const SnapshotIndex>(next);
+  auto pin = std::make_shared<EpochPin>(*PinnedEpoch(nullptr));
+  pin->index = std::make_shared<const SnapshotIndex>(next);
+  pin->data = std::move(next);
+  pin->ingested_rows[table] += delta_rows;
+  ++pin->epoch;
+  // The replaced pin is released outside data_mu_.
+  std::shared_ptr<const EpochPin> retired = pin;
   {
     std::lock_guard<std::mutex> lock(data_mu_);
-    data_ = std::move(next);
-    index_ = std::move(index);
-    ingested_rows_by_table_[table] += delta_rows;
-    epoch_.fetch_add(1, std::memory_order_release);
+    current_.swap(retired);
   }
   ReviveFailedModels(table);
-  ScheduleStaleRefreshes();
+  ScheduleStaleRefreshes(*pin);
 }
 
 void Db::ReviveFailedModels(const std::string& table) {
@@ -1052,30 +1022,30 @@ void Db::ReviveFailedModels(const std::string& table) {
     auto fresh = std::make_shared<ModelEntry>();
     fresh->path = entry->path;
     fresh->generation = entry->generation;  // same seed: retry, not refresh
-    fresh->publish_epoch = entry->publish_epoch;
-    fresh->prev = entry->prev;
     entry = fresh;
   }
 }
 
-uint64_t Db::StalenessOf(const ModelEntry& entry) const {
-  std::lock_guard<std::mutex> lock(data_mu_);
-  return IngestMarkLocked(entry.path) - entry.ingest_mark + entry.stale_base;
+uint64_t Db::StalenessOf(const EpochPin& pin, const ModelEntry& entry) const {
+  // A first generation may have trained on a newer snapshot than `pin`
+  // (it trains on the newest one); it is not stale at `pin`.
+  const uint64_t mark = pin.IngestMark(entry.path);
+  return (mark > entry.ingest_mark ? mark - entry.ingest_mark : 0) +
+         entry.stale_base;
 }
 
-DriftScore Db::DriftOf(const ModelEntry& entry) const {
+DriftScore Db::DriftOf(const EpochPin& pin, const ModelEntry& entry) const {
   if (entry.drift_ref.empty()) return DriftScore();  // unavailable
-  const std::shared_ptr<const Database> snapshot = data();
-  return ScoreDrift(entry.drift_ref, *snapshot);
+  return ScoreDrift(entry.drift_ref, *pin.data);
 }
 
-bool Db::DueForRefresh(const ModelEntry& entry,
+bool Db::DueForRefresh(const EpochPin& pin, const ModelEntry& entry,
                        bool any_staleness_when_unset) const {
   if (refresh_policy_.trigger == RefreshPolicy::Trigger::kDrift) {
     // Nothing was ingested into the path since training — the snapshot IS
     // the training data, so skip the O(rows) scoring pass outright.
-    if (StalenessOf(entry) == 0) return false;
-    const DriftScore drift = DriftOf(entry);
+    if (StalenessOf(pin, entry) == 0) return false;
+    const DriftScore drift = DriftOf(pin, entry);
     if (!drift.available) return false;
     return (refresh_policy_.drift_ks_threshold > 0.0 &&
             drift.ks >= refresh_policy_.drift_ks_threshold) ||
@@ -1086,23 +1056,23 @@ bool Db::DueForRefresh(const ModelEntry& entry,
       any_staleness_when_unset
           ? std::max<uint64_t>(1, refresh_policy_.staleness_rows_threshold)
           : refresh_policy_.staleness_rows_threshold;
-  return StalenessOf(entry) >= threshold;
+  return StalenessOf(pin, entry) >= threshold;
 }
 
 std::vector<ModelInfo> Db::Freshness() const {
-  const std::shared_ptr<const Database> snapshot = data();
+  const std::shared_ptr<const EpochPin> pin = PinnedEpoch(nullptr);
   std::vector<ModelInfo> out;
-  for (const auto& [key, entry] : TrainedHeads()) {
+  for (const auto& [key, entry] : TrainedHeads(*pin)) {
     ModelInfo info;
     info.path = entry->path;
     info.generation = entry->generation;
     info.trained_rows = entry->rows_at_train;
-    info.current_rows = TotalPathRows(*snapshot, entry->path);
-    info.staleness_rows = StalenessOf(*entry);
+    info.current_rows = TotalPathRows(*pin->data, entry->path);
+    info.staleness_rows = StalenessOf(*pin, *entry);
     info.train_seconds = entry->train_seconds;
     info.refreshing = entry->refreshing.load(std::memory_order_relaxed);
     info.loaded_from_disk = entry->loaded_from_disk;
-    const DriftScore drift = DriftOf(*entry);
+    const DriftScore drift = DriftOf(*pin, *entry);
     info.drift_available = drift.available;
     info.drift_ks = drift.ks;
     info.drift_psi = drift.psi;
@@ -1122,14 +1092,14 @@ std::vector<ModelInfo> Db::Freshness() const {
 
 // ---- Background refresh ----------------------------------------------------
 
-void Db::ScheduleStaleRefreshes() {
+void Db::ScheduleStaleRefreshes(const EpochPin& pin) {
   if (refresh_threads_.empty() || !refresh_policy_.enabled()) return;
   std::vector<std::string> due;
-  for (const auto& [key, entry] : TrainedHeads()) {
+  for (const auto& [key, entry] : TrainedHeads(pin)) {
     // An open breaker means this path just burned through its retry budget;
     // don't re-queue it until the half-open window lets a probe through.
     if (DecideBreaker(key) == BreakerDecision::kFailFast) continue;
-    if (DueForRefresh(*entry, /*any_staleness_when_unset=*/false)) {
+    if (DueForRefresh(pin, *entry, /*any_staleness_when_unset=*/false)) {
       due.push_back(key);
     }
   }
@@ -1165,14 +1135,11 @@ void Db::RefreshWorkerLoop() {
     // breaker probe) re-schedules, so a permanently broken path cannot spin.
     bool still_stale = false;
     if (refreshed.ok()) {
-      std::shared_ptr<ModelEntry> head;
-      {
-        std::lock_guard<std::mutex> lock(registry_mu_);
-        auto it = models_.find(key);
-        if (it != models_.end()) head = it->second;
-      }
-      still_stale = head != nullptr && head->latch.done_ok() &&
-                    DueForRefresh(*head, /*any_staleness_when_unset=*/false);
+      const std::shared_ptr<const EpochPin> pin = PinnedEpoch(nullptr);
+      const std::shared_ptr<ModelEntry> head = HeadOf(*pin, key);
+      still_stale =
+          head != nullptr && head->latch.done_ok() &&
+          DueForRefresh(*pin, *head, /*any_staleness_when_unset=*/false);
     }
     {
       std::unique_lock<std::mutex> lock(refresh_mu_);
@@ -1191,14 +1158,11 @@ void Db::RefreshWorkerLoop() {
 }
 
 Status Db::RefreshModelNow(const std::string& key) {
-  std::shared_ptr<ModelEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    auto it = models_.find(key);
-    if (it == models_.end()) return Status::OK();
-    entry = it->second;
+  const std::shared_ptr<const EpochPin> pin = PinnedEpoch(nullptr);
+  const std::shared_ptr<ModelEntry> entry = HeadOf(*pin, key);
+  if (entry == nullptr || !entry->latch.done_ok() || entry->model == nullptr) {
+    return Status::OK();
   }
-  if (!entry->latch.done_ok() || entry->model == nullptr) return Status::OK();
   // An open breaker fails the refresh fast — the last good generation keeps
   // serving queries untouched. A due probe falls through and retrains.
   if (DecideBreaker(key) == BreakerDecision::kFailFast) {
@@ -1210,13 +1174,7 @@ Status Db::RefreshModelNow(const std::string& key) {
   if (!entry->refreshing.compare_exchange_strong(expected, true)) {
     return Status::OK();  // another refresh of this path is already running
   }
-  std::shared_ptr<const Database> snapshot;
-  uint64_t mark = 0;
-  {
-    std::lock_guard<std::mutex> lock(data_mu_);
-    snapshot = data_;
-    mark = IngestMarkLocked(entry->path);
-  }
+  const Database& snapshot = *pin->data;
   const uint64_t next_gen = entry->generation + 1;
   PathModelConfig cfg = config_.model;
   cfg.seed = GenerationSeed(key, next_gen);
@@ -1224,7 +1182,7 @@ Status Db::RefreshModelNow(const std::string& key) {
   if (FaultInjection::Enabled()) fault = FaultInjection::Fire("refresh.train");
   Result<std::unique_ptr<PathModel>> trained =
       fault.ok()
-          ? PathModel::Train(*snapshot, annotation_, entry->path, cfg)
+          ? PathModel::Train(snapshot, annotation_, entry->path, cfg)
           : Result<std::unique_ptr<PathModel>>(fault);
   entry->refreshing.store(false, std::memory_order_release);
   if (!trained.ok()) {
@@ -1239,12 +1197,12 @@ Status Db::RefreshModelNow(const std::string& key) {
   fresh->model = std::shared_ptr<const PathModel>(std::move(trained).value());
   fresh->path = entry->path;
   fresh->generation = next_gen;
-  fresh->ingest_mark = mark;
-  fresh->rows_at_train = TotalPathRows(*snapshot, entry->path);
-  fresh->drift_ref = SummarizeTables(*snapshot, entry->path);
+  fresh->ingest_mark = pin->IngestMark(entry->path);
+  fresh->rows_at_train = TotalPathRows(snapshot, entry->path);
+  fresh->drift_ref = SummarizeTables(snapshot, entry->path);
   fresh->train_seconds = fresh->model->train_seconds();
   fresh->latch.SetDone(Status::OK());
-  // Superseded while we trained (entry revived/replaced): drop ours.
+  // Superseded while we trained (another swap landed first): drop ours.
   if (!PublishHead(key, entry, fresh)) return Status::OK();
   models_refreshed_.fetch_add(1, std::memory_order_relaxed);
   generations_retired_.fetch_add(1, std::memory_order_relaxed);
@@ -1360,8 +1318,11 @@ void Db::RecordTrainingResult(const std::string& key, const Status& status) {
 
 Status Db::RefreshStaleModels() {
   Status first = Status::OK();
-  for (const auto& [key, entry] : TrainedHeads()) {
-    if (!DueForRefresh(*entry, /*any_staleness_when_unset=*/true)) continue;
+  const std::shared_ptr<const EpochPin> pin = PinnedEpoch(nullptr);
+  for (const auto& [key, entry] : TrainedHeads(*pin)) {
+    if (!DueForRefresh(*pin, *entry, /*any_staleness_when_unset=*/true)) {
+      continue;
+    }
     Status s = RefreshModelNow(key);
     if (!s.ok() && first.ok()) first = s;
   }
@@ -1389,7 +1350,7 @@ void Db::StopRefresher() {
 }
 
 Status Db::PerturbModelsForTest(float stddev, uint64_t seed) {
-  for (const auto& [key, entry] : TrainedHeads()) {
+  for (const auto& [key, entry] : TrainedHeads(*PinnedEpoch(nullptr))) {
     // PathModel is not copyable: a Save -> Load roundtrip clones it, then
     // the clone's parameters take the seeded noise (per-path seed so every
     // model is perturbed differently but reproducibly).
@@ -1411,7 +1372,7 @@ Status Db::PerturbModelsForTest(float stddev, uint64_t seed) {
     fresh->drift_ref = entry->drift_ref;
     fresh->latch.SetDone(Status::OK());
     // Published exactly like a refresh hot swap: pinned in-flight queries
-    // keep the intact generation through `prev`.
+    // keep the intact generation through their own pin.
     PublishHead(key, entry, fresh);
   }
   return Status::OK();
@@ -1447,10 +1408,11 @@ Status Db::SaveModelsImpl(const std::string& dir) const {
     if (!gens.empty()) next_gen = std::max(next_gen, gens.back() + 1);
   }
 
-  // Snapshot the successfully-trained models; training that completes after
-  // this point is simply not part of the snapshot. Models are immutable once
-  // their latch is done, so serialization needs no further locking.
-  const auto snapshot = TrainedHeads();
+  // Snapshot the successfully-trained heads at the current pin; training
+  // that completes after this point is simply not part of the snapshot.
+  // Models are immutable once their latch is done, so serialization needs
+  // no further locking.
+  const auto snapshot = TrainedHeads(*PinnedEpoch(nullptr));
 
   // Stage the whole generation in a tmp directory, fsync it, then rename —
   // a crash anywhere in here leaves at worst a gen-N.tmp that the next save

@@ -122,14 +122,15 @@ struct RefreshPolicy {
   }
 };
 
-/// Options of Db::Open beyond the engine configuration. Plain aggregate —
-/// `{engine, "/path"}` keeps working — with chainable setters for readable
-/// call sites:
-///   Db::Open(&db, ann, DbOptions{}
+/// Options of Db::Open beyond the engine configuration, set through
+/// chainable setters (a brace aggregate leaves later fields unnamed and
+/// draws -Wmissing-field-initializers):
+///   RefreshPolicy policy;
+///   policy.staleness_rows_threshold = 1000;
+///   Db::Open(&db, ann, DbOptions()
 ///                          .WithEngine(config)
 ///                          .WithModelDir("/var/lib/restore")
-///                          .WithRefreshPolicy({.staleness_rows_threshold =
-///                                              1000}));
+///                          .WithRefreshPolicy(policy));
 struct DbOptions {
   EngineConfig engine;
   /// If non-empty, trained models previously written by Db::SaveModels are
@@ -383,9 +384,10 @@ class Db : public std::enable_shared_from_this<Db> {
   /// run itself continues and stays available to later callers.
   ///
   /// Under live ingestion models are generational: the returned shared_ptr
-  /// leases the generation visible at the query's pinned epoch, stays valid
+  /// leases the generation that served the query's pinned epoch (the path's
+  /// hot-swapped head in that pin, else its first generation), stays valid
   /// however long the caller holds it, and repeat lookups under the same
-  /// `ctx` return the same generation even across a concurrent hot swap.
+  /// `ctx` return that generation however many swaps follow.
   Result<std::shared_ptr<const PathModel>> ModelForPath(
       const std::vector<std::string>& path, const ExecContext* ctx = nullptr);
 
@@ -410,7 +412,7 @@ class Db : public std::enable_shared_from_this<Db> {
   std::shared_ptr<const Database> data() const;
   /// Monotone epoch counter: +1 per published ingest and per model
   /// hot-swap. 0 means the Db is still bit-identical to a frozen open.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  uint64_t epoch() const;
 
   const SchemaAnnotation& annotation() const { return annotation_; }
   const EngineConfig& config() const { return config_; }
@@ -481,23 +483,17 @@ class Db : public std::enable_shared_from_this<Db> {
   // (binding happens before ExecuteCompleted is ever reached).
   friend class PreparedQuery;
 
-  /// One trained generation of one path. Entries are immutable once their
-  /// latch is done — with ONE exception: `prev`. A refresh REPLACES the
-  /// registry slot with a new entry whose `prev` links to this one, so
-  /// queries pinned at older epochs can still resolve their generation, and
-  /// capping that chain (kMaxChainedGens) rewrites the `prev` of a node that
-  /// is still reachable from the published head. `prev` is therefore read
-  /// and written only under registry_mu_.
+  /// One trained generation of one path, immutable once its latch is done
+  /// (`refreshing` is an atomic flag, not model state). Held by the
+  /// registry (a path's first generation) or by EpochPin::swapped (a later
+  /// one).
   struct ModelEntry {
     OnceLatch latch;
     std::shared_ptr<const PathModel> model;
     std::vector<std::string> path;
     uint64_t generation = 1;
-    /// Db::epoch() value from which this generation is visible. 0 for
-    /// first trainings and loaded models (visible to every query).
-    uint64_t publish_epoch = 0;
-    /// Cumulative per-path ingest counter at training time (staleness
-    /// baseline) and total path rows of the training snapshot.
+    /// EpochPin::IngestMark of the training snapshot (staleness baseline)
+    /// and total path rows of that snapshot.
     uint64_t ingest_mark = 0;
     uint64_t rows_at_train = 0;
     /// Staleness carried over from before a restart (rows the on-disk
@@ -511,8 +507,6 @@ class Db : public std::enable_shared_from_this<Db> {
     /// unavailable rather than failing.
     std::vector<ColumnSummary> drift_ref;
     std::atomic<bool> refreshing{false};
-    /// Previous generation. Guarded by registry_mu_ (see struct comment).
-    std::shared_ptr<ModelEntry> prev;
   };
   /// Shared (not unique) so a failed selection can be swapped for a fresh
   /// entry while waiters still parked on the old latch drain safely — the
@@ -522,13 +516,25 @@ class Db : public std::enable_shared_from_this<Db> {
     OnceLatch latch;
     std::vector<std::string> path;
   };
-  /// Everything one query must agree on, pinned at first touch: the data
-  /// snapshot, its index, and the epoch that gates model-generation
-  /// visibility and tags completion-cache lookups and writes.
+  /// Everything one query must agree on, published whole by every writer
+  /// (an ingest or a model hot swap) and pinned by a query at first touch.
+  /// Immutable once published: a writer copies the current pin, changes
+  /// the copy and publishes it as the next epoch.
   struct EpochPin {
     std::shared_ptr<const Database> data;
+    /// The snapshot's join indexes and replacers, filled lazily and freed
+    /// with the snapshot's last pin.
     std::shared_ptr<const SnapshotIndex> index;
+    /// Tags completion-cache lookups and writes.
     uint64_t epoch = 0;
+    /// Cumulative rows ingested per table since Open.
+    std::map<std::string, uint64_t> ingested_rows;
+    /// Path key -> head generation, for every path hot-swapped since Open.
+    /// A path absent here serves its registry entry.
+    std::map<std::string, std::shared_ptr<ModelEntry>> swapped;
+
+    /// Rows ingested into `path`'s tables since Open.
+    uint64_t IngestMark(const std::vector<std::string>& path) const;
   };
 
   Db(const Database* database, SchemaAnnotation annotation,
@@ -549,34 +555,36 @@ class Db : public std::enable_shared_from_this<Db> {
   /// restarts.
   uint64_t CompletionSeed(const std::string& key) const;
 
-  /// Returns (creating if needed) the registry HEAD entry for `key`.
+  /// Returns (creating if needed) the registry entry for `key`.
   std::shared_ptr<ModelEntry> EntryFor(const std::string& key,
                                        const std::vector<std::string>& path);
 
-  /// (path key, head entry) of every registry head whose model trained
-  /// successfully, copied under registry_mu_.
+  /// `key`'s head at `pin`: its swapped generation there, else its registry
+  /// entry (nullptr when the path was never looked up).
+  std::shared_ptr<ModelEntry> HeadOf(const EpochPin& pin,
+                                     const std::string& key) const;
+  /// (path key, head at `pin`) of every path whose head trained
+  /// successfully, in key order.
   std::vector<std::pair<std::string, std::shared_ptr<ModelEntry>>>
-  TrainedHeads() const;
+  TrainedHeads(const EpochPin& pin) const;
 
   /// Hot-swaps `fresh` in as `key`'s head if the head is still `expected`;
   /// returns false, publishing nothing, when it was superseded. Under
-  /// ingest_mu_ it installs `fresh` (publish_epoch one past the current
-  /// epoch, `prev` linking to `expected`) and caps the retained chain at
-  /// kMaxChainedGens, THEN advances the epoch. Caller holds no Db mutex.
+  /// ingest_mu_ it publishes the next pin (+1 epoch) with `fresh` in
+  /// `swapped`; queries pinned before keep their generation through their
+  /// own pin. Caller holds no Db mutex.
   bool PublishHead(const std::string& key,
                    const std::shared_ptr<ModelEntry>& expected,
                    const std::shared_ptr<ModelEntry>& fresh);
 
-  /// The query's pinned epoch (pins the current one on first touch).
+  /// The query's pinned epoch (pins the current one on first touch; the
+  /// current one when `ctx` is null).
   std::shared_ptr<const EpochPin> PinnedEpoch(const ExecContext* ctx) const;
 
-  /// Cumulative ingested rows across `path`'s tables. Caller holds
-  /// data_mu_.
-  uint64_t IngestMarkLocked(const std::vector<std::string>& path) const;
-
-  /// Publishes `next` as the current snapshot (+1 epoch), advances the
-  /// per-table ingest counter, revives failed model entries touching
-  /// `table`, and schedules refreshes. Caller holds ingest_mu_.
+  /// Publishes the next pin: `next` as the snapshot with its index (+1
+  /// epoch) and `table`'s ingest counter advanced by `delta_rows`; then
+  /// revives failed model entries touching `table` and schedules
+  /// refreshes. Caller holds ingest_mu_.
   void PublishData(std::shared_ptr<const Database> next,
                    const std::string& table, uint64_t delta_rows);
 
@@ -585,23 +593,25 @@ class Db : public std::enable_shared_from_this<Db> {
   /// failure, so the next query retries against the new snapshot.
   void ReviveFailedModels(const std::string& table);
 
-  /// Queues every stale-enough trained path for background refresh.
-  void ScheduleStaleRefreshes();
-  /// Staleness of a head entry right now (0 for untrained/failed entries).
-  uint64_t StalenessOf(const ModelEntry& entry) const;
-  /// Drift of the current snapshot against `entry`'s training reference
+  /// Queues every path whose head at `pin` is due for background refresh.
+  void ScheduleStaleRefreshes(const EpochPin& pin);
+  /// Rows ingested into `entry`'s path between its training snapshot and
+  /// `pin`, plus its carried-over staleness.
+  uint64_t StalenessOf(const EpochPin& pin, const ModelEntry& entry) const;
+  /// Drift of `pin`'s snapshot against `entry`'s training reference
   /// (unavailable when the entry carries no reference summaries).
-  DriftScore DriftOf(const ModelEntry& entry) const;
-  /// True when `entry` is due for refresh under the policy's trigger.
-  /// `any_staleness_when_unset` reproduces the synchronous
+  DriftScore DriftOf(const EpochPin& pin, const ModelEntry& entry) const;
+  /// True when `entry` is due for refresh at `pin` under the policy's
+  /// trigger. `any_staleness_when_unset` reproduces the synchronous
   /// RefreshStaleModels contract for the row-count trigger: any staleness
   /// at all counts when the threshold is 0.
-  bool DueForRefresh(const ModelEntry& entry,
+  bool DueForRefresh(const EpochPin& pin, const ModelEntry& entry,
                      bool any_staleness_when_unset) const;
 
-  /// Retrains `key` on the current snapshot and hot-swaps the new
-  /// generation in. No-op (OK) when the entry vanished or is already
-  /// refreshing; the previous generation keeps serving on failure.
+  /// Retrains `key`'s current head on the current snapshot and hot-swaps
+  /// the new generation in. No-op (OK) when the path has no trained head or
+  /// is already refreshing; the previous generation keeps serving on
+  /// failure.
   /// kUnavailable (without a training attempt) while `key`'s breaker is
   /// open and the half-open probe is not yet due.
   Status RefreshModelNow(const std::string& key);
@@ -680,24 +690,20 @@ class Db : public std::enable_shared_from_this<Db> {
   std::map<std::string, std::shared_ptr<SelectionEntry>> selected_;
   size_t models_loaded_ = 0;
 
-  // RCU data plane. data_ is the published snapshot; writers clone-and-swap
-  // under ingest_mu_ (writer serialization) + data_mu_ (the brief publish
-  // critical section readers also take). epoch_ is additionally an atomic
-  // for lock-free scraping. Lock order: ingest_mu_ > data_mu_;
-  // ingest_mu_ > registry_mu_; ingest_mu_ > refresh_mu_. data_mu_,
-  // registry_mu_ and refresh_mu_ are leaves (never nested in each other).
+  // RCU data plane. current_ is the published pin; writers build the next
+  // one under ingest_mu_ (writer serialization) and swap it in under
+  // data_mu_, which guards only this pointer (readers copy it under the
+  // same mutex). Lock order: ingest_mu_ > data_mu_; ingest_mu_ >
+  // registry_mu_; ingest_mu_ > refresh_mu_. data_mu_, registry_mu_ and
+  // refresh_mu_ are leaves (never nested in each other).
   mutable std::mutex ingest_mu_;
   mutable std::mutex data_mu_;
-  std::shared_ptr<const Database> data_;
-  // Published with data_ and pinned with it: the epoch's join indexes and
-  // replacers, filled lazily and freed with the snapshot's last pin.
-  std::shared_ptr<const SnapshotIndex> index_;
-  std::map<std::string, uint64_t> ingested_rows_by_table_;
-  std::atomic<uint64_t> epoch_{0};
+  std::shared_ptr<const EpochPin> current_;
 
-  // Model registry: the map structure is guarded by registry_mu_; each
-  // entry's model is guarded by its latch (immutable once trained) and
-  // swapped wholesale on refresh.
+  // Model registry: each path's first generation, kept for the Db's
+  // lifetime (queries pinned before the path's first swap resolve it). The
+  // map is guarded by registry_mu_; an entry is immutable once its latch is
+  // done and is replaced only to retry a failed training.
   mutable std::mutex registry_mu_;
   std::map<std::string, std::shared_ptr<ModelEntry>> models_;
 

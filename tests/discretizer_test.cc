@@ -95,7 +95,9 @@ TEST(DiscretizerTest, CodeMeanIsWithinBin) {
     const double mean = disc->CodeMean(code);
     EXPECT_GE(mean, 0.0);
     EXPECT_LE(mean, 99.0);
-    if (code > 0) EXPECT_GT(mean, disc->CodeMean(code - 1));
+    if (code > 0) {
+      EXPECT_GT(mean, disc->CodeMean(code - 1));
+    }
   }
 }
 

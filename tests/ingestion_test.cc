@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "datagen/incompleteness.h"
 #include "datagen/synthetic.h"
 #include "exec/exec_control.h"
+#include "exec/executor.h"
 #include "restore/db.h"
 
 namespace restore {
@@ -331,6 +333,29 @@ TEST(IngestionTest, CacheNeverServesAcrossGenerations) {
   EXPECT_EQ(Flatten(*r3), Flatten(*r4));
 }
 
+TEST(IngestionTest, CompleteTablesOnlyQueryIgnoresCachedCompletedJoins) {
+  // A query over complete tables only is answered classically, before and
+  // after a completed join covering its tables was cached: that join
+  // repeats each table_a row once per joined table_b row.
+  Database incomplete = MakeIncompleteSynthetic(519);
+  auto db = Db::Open(&incomplete, Annotation(),
+                     DbOptions().WithEngine(FastConfig()));
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->config().enable_cache);
+  constexpr char kCountByA[] = "SELECT COUNT(*) FROM table_a GROUP BY a;";
+  auto classical = ExecuteSql(incomplete, kCountByA);
+  ASSERT_TRUE(classical.ok()) << classical.status();
+
+  auto before = (*db)->ExecuteCompletedSql(kCountByA);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(Flatten(*before), Flatten(*classical));
+  ASSERT_TRUE((*db)->ExecuteCompletedSql(kJoinCount).ok());
+  ASSERT_GT((*db)->cache().bytes(), 0u);
+  auto after = (*db)->ExecuteCompletedSql(kCountByA);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(Flatten(*after), Flatten(*classical));
+}
+
 TEST(IngestionTest, UnboundedCacheHoldsOneEpochUnderIngest) {
   // With no budget, only the epoch rule bounds the completion cache: every
   // append moves the epoch, and the next cache write must drop the joins of
@@ -536,17 +561,15 @@ TEST(IngestionTest, SwapUnderHammerServesOnlyConsistentGenerations) {
   EXPECT_EQ(Flatten(*settled), baselines[2]);
 }
 
-TEST(IngestionTest, DeepGenerationChainCapsSafelyUnderReaders) {
-  // Drives MORE refreshes than the retained-chain bound (kMaxChainedGens=4)
-  // so every later swap truncates the generation chain — rewriting the
-  // `prev` of a node still reachable from the published head — while 4
-  // reader threads walk that chain the whole time. Under TSan this is the
-  // regression test for the prev-walk vs chain-cap race.
-  // Two parents of one incomplete child give two distinct model paths: a
-  // reader pins an epoch by resolving one path, sleeps while swaps pile up,
-  // then resolves the OTHER path against the now-stale pin — that lookup
-  // walks back through the same `prev` links the capper rewrites. Both
-  // paths contain child, so every round refreshes and caps both chains.
+TEST(IngestionTest, OldPinsResolveTheirGenerationUnderReaders) {
+  // A context pinned at epoch 0 must resolve every path to the generation
+  // that served epoch 0, however many hot swaps follow. Two parents of one
+  // incomplete child give two distinct model paths: a pooled context pins
+  // epoch 0 by resolving one path, and resolves the OTHER only after swaps
+  // of it piled up. Both paths contain child, so every round refreshes
+  // both. 4 reader threads run throughout; 2 of them resolve pooled
+  // contexts between and during the swap rounds, so under TSan this is the
+  // check of pin publication against concurrent lookups.
   Database db_data;
   Table p1("p1", {{"id", ColumnType::kInt64},
                   {"a", ColumnType::kCategorical}});
@@ -584,16 +607,12 @@ TEST(IngestionTest, DeepGenerationChainCapsSafelyUnderReaders) {
 
   const std::vector<std::string> path0 = {"p1", "child"};
   const std::vector<std::string> path1 = {"p2", "child"};
-  auto warm0 = (*db)->ModelForPath(path0);  // generation 1 of both chains
+  auto warm0 = (*db)->ModelForPath(path0);  // generation 1 of both paths
   ASSERT_TRUE(warm0.ok()) << warm0.status();
   auto warm1 = (*db)->ModelForPath(path1);
   ASSERT_TRUE(warm1.ok()) << warm1.status();
 
-  // A pool of contexts pinned NOW — at the gen-1 epoch. Resolving path1
-  // under one of these later forces the walk all the way down to the OLDEST
-  // retained generation, i.e. through the exact node the capper truncates
-  // (each ctx only walks once — its model pin caches — so the pool is
-  // drained gradually to spread deep walks across all the swaps).
+  // A pool of contexts pinned NOW, at epoch 0, through path0 only.
   struct PinnedCtx {
     QueryOptions options;
     ExecStats stats;
@@ -622,9 +641,9 @@ TEST(IngestionTest, DeepGenerationChainCapsSafelyUnderReaders) {
       }
     }
   };
-  // Drains a handful of gen-1 pins per swap round (rendezvous on round_no),
-  // so deep walks to the chain tail happen right before AND concurrently
-  // with every subsequent cap.
+  // Resolves path1 under a handful of epoch-0 pins per swap round
+  // (rendezvous on round_no), so old-pin lookups happen right after AND
+  // concurrently with every later swap.
   auto old_pin_reader = [&] {
     int seen = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -646,7 +665,7 @@ TEST(IngestionTest, DeepGenerationChainCapsSafelyUnderReaders) {
   for (int i = 0; i < 2; ++i) readers.emplace_back(reader);
   for (int i = 0; i < 2; ++i) readers.emplace_back(old_pin_reader);
 
-  constexpr int kRounds = 7;  // chains reach the cap from round 4 onward
+  constexpr int kRounds = 7;
   for (int round = 0; round < kRounds; ++round) {
     std::vector<std::vector<Value>> rows;
     for (int i = 0; i < 30; ++i) {
@@ -662,9 +681,79 @@ TEST(IngestionTest, DeepGenerationChainCapsSafelyUnderReaders) {
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  // Both per-path chains refresh every round.
+  // Both paths refresh every round.
   EXPECT_GE((*db)->stats().models_refreshed,
             static_cast<uint64_t>(2 * kRounds));
+  for (const ModelInfo& info : (*db)->Freshness()) {
+    EXPECT_EQ(info.generation, static_cast<uint64_t>(kRounds + 1));
+  }
+  // Every pooled context, whether a reader resolved it or not, resolves
+  // exactly the generation-1 models.
+  for (size_t i = 0; i < pool.size(); ++i) {
+    auto m0 = (*db)->ModelForPath(path0, &pool[i]->ctx);
+    auto m1 = (*db)->ModelForPath(path1, &pool[i]->ctx);
+    ASSERT_TRUE(m0.ok() && m1.ok()) << "pooled context " << i;
+    EXPECT_EQ(m0->get(), warm0->get()) << "pooled context " << i;
+    EXPECT_EQ(m1->get(), warm1->get()) << "pooled context " << i;
+  }
+  // A context pinned now resolves the newest generation.
+  auto newest = (*db)->ModelForPath(path1);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_NE(newest->get(), warm1->get());
+}
+
+TEST(IngestionTest, SwappedOutGenerationIsFreedWithItsLastPin) {
+  // A refreshed path keeps its first generation (queries pinned before its
+  // first swap resolve it), its current head, and what live pins reach —
+  // nothing else.
+  Database incomplete = MakeIncompleteSynthetic(523);
+  auto db = Db::Open(&incomplete, Annotation(),
+                     DbOptions().WithEngine(FastConfig()));
+  ASSERT_TRUE(db.ok());
+  const std::vector<std::string> path{"table_a", "table_b"};
+  // The head a query pinned now resolves, held only weakly here.
+  auto current = [&]() -> std::weak_ptr<const PathModel> {
+    auto model = (*db)->ModelForPath(path);
+    EXPECT_TRUE(model.ok()) << model.status();
+    if (!model.ok()) return {};
+    return *model;
+  };
+  int64_t next_id = 990000;
+  auto ingest_and_refresh = [&] {
+    ASSERT_TRUE((*db)->Append("table_b", MakeRows(20, next_id, "novel")).ok());
+    next_id += 20;
+    ASSERT_TRUE((*db)->RefreshStaleModels().ok());
+  };
+
+  const std::weak_ptr<const PathModel> gen1 = current();
+  ingest_and_refresh();
+  const std::weak_ptr<const PathModel> gen2 = current();
+  ASSERT_FALSE(gen2.expired());
+  EXPECT_NE(gen2.lock(), gen1.lock());
+
+  // No query pins generation 2: swapping generation 3 in frees it.
+  ingest_and_refresh();
+  const std::weak_ptr<const PathModel> gen3 = current();
+  EXPECT_TRUE(gen2.expired());
+  EXPECT_FALSE(gen3.expired());
+  EXPECT_FALSE(gen1.expired()) << "the registry keeps the first generation";
+
+  // A live pin keeps its generation across the next swap, and serves it,
+  // until the pin goes.
+  auto pinned = std::make_unique<ExecContext>(nullptr, nullptr);
+  ASSERT_TRUE((*db)->ModelForPath(path, pinned.get()).ok());
+  ingest_and_refresh();
+  {
+    auto replay = (*db)->ModelForPath(path, pinned.get());
+    ASSERT_TRUE(replay.ok());
+    EXPECT_EQ(*replay, gen3.lock());
+  }
+  EXPECT_FALSE(gen3.expired());
+  pinned.reset();
+  EXPECT_TRUE(gen3.expired());
+  for (const ModelInfo& info : (*db)->Freshness()) {
+    EXPECT_EQ(info.generation, 4u);
+  }
 }
 
 // ---- Drift-triggered refresh ------------------------------------------------

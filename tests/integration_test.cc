@@ -33,7 +33,7 @@ TEST(DbHousingTest, CompletesApartmentTableAndReducesBias) {
   ASSERT_TRUE(incomplete.ok());
 
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
 
   auto completed = (*db)->CompleteTable("apartment");
@@ -66,7 +66,7 @@ TEST(DbHousingTest, CompletedQueryBeatsIncompleteExecution) {
   ASSERT_TRUE(incomplete.ok());
 
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   Session session = (*db)->CreateSession();
 
@@ -96,7 +96,7 @@ TEST(DbHousingTest, PreparedJoinQueryWithIncompleteTableExecutes) {
   ASSERT_TRUE(incomplete.ok());
 
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   Session session = (*db)->CreateSession();
 
@@ -143,7 +143,7 @@ TEST(DbHousingTest, CacheReusesCompletedJoin) {
   auto incomplete = ApplySetup(*complete, *setup, 0.5, 0.5, 208);
   ASSERT_TRUE(incomplete.ok());
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   Session session = (*db)->CreateSession();
   ASSERT_TRUE(
@@ -169,7 +169,7 @@ TEST(DbMoviesTest, MultiIncompleteJoinQueryExecutes) {
   ASSERT_TRUE(incomplete.ok());
 
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   Session session = (*db)->CreateSession();
   const std::string sql =
@@ -198,7 +198,7 @@ TEST(DbTest, SelectedPathStartsCompleteAndEndsAtTarget) {
   auto incomplete = ApplySetup(*complete, *setup, 0.5, 0.5, 212);
   ASSERT_TRUE(incomplete.ok());
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   auto path = (*db)->SelectedPathFor("landlord");
   ASSERT_TRUE(path.ok()) << path.status();
@@ -215,7 +215,7 @@ TEST(DbTest, CompleteQueriesOnCompleteTablesBypassModels) {
   auto incomplete = ApplySetup(*complete, *setup, 0.5, 0.5, 214);
   ASSERT_TRUE(incomplete.ok());
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   Session session = (*db)->CreateSession();
   // neighborhood is complete: the completed result equals direct execution,
@@ -238,7 +238,7 @@ TEST(ResultSetTest, BatchCursorStreamsEveryRowExactlyOnce) {
   ASSERT_TRUE(incomplete.ok());
 
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {FastEngineConfig(), ""});
+                     DbOptions().WithEngine(FastEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   Session session = (*db)->CreateSession();
 

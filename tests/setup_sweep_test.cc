@@ -38,7 +38,7 @@ TEST_P(SetupSweep, TrainsCompletesAndCorrectsCardinality) {
   ASSERT_TRUE(incomplete.ok()) << incomplete.status();
 
   auto db = Db::Open(&*incomplete, AnnotationFor(*setup),
-                     {SweepEngineConfig(), ""});
+                     DbOptions().WithEngine(SweepEngineConfig()));
   ASSERT_TRUE(db.ok()) << db.status();
   auto path = (*db)->SelectedPathFor(setup->removed_table);
   ASSERT_TRUE(path.ok()) << path.status();
