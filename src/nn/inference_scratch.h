@@ -29,8 +29,8 @@ struct MadeScratch {
   std::vector<float> hidden;       // [num_layers*hidden_dim x ld] h_l
   std::vector<float> context;      // [context_dim x ld] transposed context
   std::vector<float> terms;        // [outputs x ld] a panel's context terms
-  std::vector<float> logit_block;  // [vocab x ld] one attribute's logits
-  std::vector<float> logit_rows;   // [ld x vocab] row-major, for the pick
+  std::vector<float> logit_block;  // [vocab x ld] one attribute's logits,
+                                   // then its exp terms (SoftmaxPanel)
   std::vector<double> u;           // SampleRange pre-drawn uniforms
 };
 

@@ -61,21 +61,6 @@ float* Reserve(std::vector<float>* buf, size_t n) {
   return buf->data();
 }
 
-// Copies rows [lo, hi) of a unit-major [vocab x ld] logit block into the
-// row-major `rows` ([batch x vocab]) that the softmax walks. Sixteen rows
-// at a time, so each unit-major line is read once, whole, even when a wide
-// vocabulary spans more lines than L1 holds.
-void CopyLogitRows(const float* logits, size_t ld, size_t vocab, size_t lo,
-                   size_t hi, float* rows) {
-  for (size_t r = lo; r < hi; r += 16) {
-    const size_t n = std::min<size_t>(16, hi - r);
-    for (size_t c = 0; c < vocab; ++c) {
-      const float* src = logits + c * ld + r;
-      for (size_t i = 0; i < n; ++i) rows[(r + i) * vocab + c] = src[i];
-    }
-  }
-}
-
 }  // namespace
 
 MadeModel::MadeModel(MadeConfig config, Rng& rng)
@@ -497,8 +482,6 @@ void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
     max_vocab = std::max(max_vocab, static_cast<size_t>(vocab_size(a)));
   }
   PrepareScratch(batch, max_vocab, scratch);
-  const size_t ld = scratch->ld;
-  float* logit_rows = Reserve(&scratch->logit_rows, ld * max_vocab);
   std::vector<double>& sample_u = scratch->u;
   for (size_t a = first_attr; a < end_attr; ++a) {
     if (should_stop && should_stop()) return;
@@ -520,47 +503,16 @@ void MadeModel::SampleRange(IntMatrix* codes, const Matrix& context,
       if (a == first_attr) LoadContext(context, lo, hi, scratch);
       ComputeDegrees(*codes, d0, a, lo, hi, scratch);
       ComputeLogits(a, lo, hi, scratch);
-      CopyLogitRows(scratch->logit_block.data(), ld, vocab, lo, hi,
-                    logit_rows);
-      // Per row: softmax the attribute's logits and inverse-CDF pick.
-      for (size_t r = lo; r < hi; ++r) {
-        float* probs = logit_rows + r * vocab;
-        const float max_v = RowMax(probs, vocab);
-        float sum = 0.0f;
-        for (size_t c = 0; c < vocab; ++c) {
-          probs[c] = std::exp(probs[c] - max_v);
-          sum += probs[c];
-        }
-        const float inv = 1.0f / sum;
-        const double u = sample_u[r];
-        double acc = 0.0;
-        int32_t pick = static_cast<int32_t>(vocab) - 1;
-        if (record) {
-          for (size_t c = 0; c < vocab; ++c) probs[c] *= inv;
-          float* dst = recorded->row(r);
-          for (size_t c = 0; c < vocab; ++c) dst[c] = probs[c];
-          for (size_t c = 0; c < vocab; ++c) {
-            acc += probs[c];
-            if (u < acc) {
-              pick = static_cast<int32_t>(c);
-              break;
-            }
-          }
-        } else {
-          // Early-exit CDF over the unstored normalized terms: probs[c]*inv
-          // is float-rounded before the double add, exactly like reading a
-          // stored normalized value back — the pick is bit-identical, but
-          // the normalize+store pass only runs when a recording needs it.
-          for (size_t c = 0; c < vocab; ++c) {
-            acc += static_cast<double>(probs[c] * inv);
-            if (u < acc) {
-              pick = static_cast<int32_t>(c);
-              break;
-            }
-          }
-        }
-        codes->at(r, a) = pick;
-      }
+      // Softmax and inverse-CDF pick over the block, eight rows a vector.
+      SoftmaxBlock block;
+      block.logits = scratch->logit_block.data();
+      block.vocab = vocab;
+      block.ld = scratch->ld;
+      block.probs = record ? recorded->data() : nullptr;
+      block.u = sample_u.data();
+      block.picks = codes->row(0) + a;
+      block.pick_stride = num_attrs();
+      SoftmaxPanel(block, lo, hi);
     });
   }
 }
@@ -580,10 +532,13 @@ void MadeModel::PredictDistribution(const IntMatrix& codes,
     LoadContext(context, lo, hi, scratch);
     ComputeDegrees(codes, 0, attr, lo, hi, scratch);
     ComputeLogits(attr, lo, hi, scratch);
-    CopyLogitRows(scratch->logit_block.data(), scratch->ld, vocab, lo, hi,
-                  probs->data());
+    SoftmaxBlock block;
+    block.logits = scratch->logit_block.data();
+    block.vocab = vocab;
+    block.ld = scratch->ld;
+    block.probs = probs->data();
+    SoftmaxPanel(block, lo, hi);
   });
-  SoftmaxSlice(probs, 0, vocab);
 }
 
 void MadeModel::CollectParams(std::vector<Param*>* params) {

@@ -49,7 +49,7 @@ using TransBRowsFn = void (*)(const float*, const float*, float*, size_t,
 using TransAAccumRowsFn = void (*)(const float*, const float*, float*, size_t,
                                    size_t, size_t, size_t, size_t);
 using UnitMajorFn = void (*)(const UnitPanel&, size_t, size_t);
-using RowMaxFn = float (*)(const float*, size_t);
+using SoftmaxPanelFn = void (*)(const SoftmaxBlock&, size_t, size_t);
 
 struct KernelTable {
   MatMulRowsFn matmul_rows;
@@ -57,7 +57,7 @@ struct KernelTable {
   TransBRowsFn matmul_transb_rows;
   TransAAccumRowsFn matmul_transa_accum_rows;
   UnitMajorFn unit_major;
-  RowMaxFn row_max;
+  SoftmaxPanelFn softmax_panel;
 };
 
 const KernelTable& Kernels() {
@@ -65,12 +65,12 @@ const KernelTable& Kernels() {
     KernelTable t{generic::MatMulRowsKernel, generic::MatMulRowsBiasKernel,
                   generic::MatMulTransBRowsKernel,
                   generic::MatMulTransAAccumRowsKernel,
-                  generic::UnitMajorKernel, generic::RowMaxKernel};
+                  generic::UnitMajorKernel, generic::SoftmaxPanelKernel};
 #ifdef RESTORE_HAVE_AVX2_VARIANT
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
       t = {avx2::MatMulRowsKernel, avx2::MatMulRowsBiasKernel,
            avx2::MatMulTransBRowsKernel, avx2::MatMulTransAAccumRowsKernel,
-           avx2::UnitMajorKernel, avx2::RowMaxKernel};
+           avx2::UnitMajorKernel, avx2::SoftmaxPanelKernel};
     }
 #endif
     return t;
@@ -157,6 +157,12 @@ void UnitMajorPanel(const UnitPanel& panel, size_t r0, size_t r1) {
   assert(r0 <= r1 && r1 <= panel.ld);
   if (r0 == r1 || panel.num_out == 0) return;
   Kernels().unit_major(panel, r0, r1);
+}
+
+void SoftmaxPanel(const SoftmaxBlock& block, size_t r0, size_t r1) {
+  assert(r0 <= r1 && r1 <= block.ld && block.vocab > 0);
+  if (r0 == r1) return;
+  Kernels().softmax_panel(block, r0, r1);
 }
 
 namespace {
@@ -273,11 +279,6 @@ void AddInPlace(const Matrix& x, Matrix* y) {
   float* RESTORE_RESTRICT yd = y->data();
   const float* RESTORE_RESTRICT xd = x.data();
   for (size_t i = 0; i < x.size(); ++i) yd[i] += xd[i];
-}
-
-float RowMax(const float* p, size_t n) {
-  assert(n > 0);
-  return Kernels().row_max(p, n);
 }
 
 void ReluInPlace(Matrix* x) {

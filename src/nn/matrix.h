@@ -165,6 +165,36 @@ struct UnitPanel {
 /// [r0, r1) of y.
 void UnitMajorPanel(const UnitPanel& panel, size_t r0, size_t r1);
 
+/// One attribute's softmax over a unit-major logit block, and what the MADE
+/// sampler reads off it. `logits` is [vocab x ld] unit-major: code c's logit
+/// for batch row r is logits[c * ld + r]. For each row r, in this order:
+///
+///   m   = left fold over c = 0, 1, ..., vocab - 1 of std::max(m, l_c)
+///   e_c = std::exp(l_c - m), one scalar libm call per element, written
+///         back to logits[c * ld + r]
+///   sum = e_0 + e_1 + ... + e_{vocab-1} in float;  inv = 1 / sum
+///   probs[r * vocab + c] = e_c * inv                          (if probs)
+///   picks[r * pick_stride] = the first c with u[r] < acc_c, else vocab - 1,
+///     where acc_c = sum over c' <= c, in double, of e_c' * inv  (if picks)
+///
+/// These are the steps of the scalar per-row softmax and early-exit
+/// inverse-CDF pick, so probabilities and picks are bit-identical to it
+/// whichever vector lane covers a row.
+struct SoftmaxBlock {
+  float* logits = nullptr;
+  size_t vocab = 0;
+  size_t ld = 0;
+  float* probs = nullptr;     // row-major [rows x vocab], or nullptr
+  const double* u = nullptr;  // per-row uniform draws; read with picks
+  int32_t* picks = nullptr;   // or nullptr
+  size_t pick_stride = 1;
+};
+
+/// Computes `block` over batch rows [r0, r1) on the calling thread (callers
+/// shard row blocks themselves). Reads and writes only those rows of
+/// logits, u, probs and picks.
+void SoftmaxPanel(const SoftmaxBlock& block, size_t r0, size_t r1);
+
 /// out = a * b^T          [m x k] * [n x k] -> [m x n]
 ///
 /// Large products pack b^T into a [k x n] scratch tile and run the
@@ -193,12 +223,6 @@ void AddInPlace(const Matrix& x, Matrix* y);
 
 /// In-place ReLU; returns mask-applied matrix via dy in BackwardRelu.
 void ReluInPlace(Matrix* x);
-
-/// Vectorized max over p[0..n) (n > 0). Numerically identical to the scalar
-/// std::max left-fold for non-NaN inputs — max is order-independent — with
-/// at most the sign of a zero maximum differing, which the softmax consumers
-/// are insensitive to (exp(x - ±0.0) == exp(x)).
-float RowMax(const float* p, size_t n);
 
 /// dx = dy masked by (y > 0), where y is the post-ReLU activation.
 void ReluBackward(const Matrix& y, Matrix* dy);

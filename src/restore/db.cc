@@ -167,6 +167,24 @@ uint64_t EngineConfigFingerprint(const EngineConfig& config) {
   return Fnv1a64(w.buffer());
 }
 
+/// The qualified columns `query` reads. A query that reads none (a bare
+/// COUNT(*)) keeps the first column of its first table, which carries the
+/// rows.
+Result<std::vector<std::string>> QueryColumns(const Database& db,
+                                              const Query& query) {
+  std::vector<std::string> columns;
+  for (const auto& agg : query.aggregates) {
+    if (!agg.column.empty()) columns.push_back(agg.column);
+  }
+  for (const auto& pred : query.predicates) columns.push_back(pred.column);
+  columns.insert(columns.end(), query.group_by.begin(), query.group_by.end());
+  if (columns.empty()) {
+    RESTORE_ASSIGN_OR_RETURN(const Table* first, db.GetTable(query.tables[0]));
+    columns.push_back(query.tables[0] + "." + first->column(0).name());
+  }
+  return columns;
+}
+
 Result<std::string> CurrentModelGenerationDir(const std::string& model_dir) {
   Result<uint64_t> current = ReadCurrentGeneration(model_dir);
   if (current.ok()) return model_dir + "/" + GenDirName(current.value());
@@ -600,6 +618,13 @@ Result<CompletionResult> Db::CompleteViaPath(
 
 Result<Table> Db::CompleteTable(const std::string& target,
                                 const ExecContext* ctx) {
+  return CompleteTableColumns(target, std::nullopt, ctx);
+}
+
+Result<Table> Db::CompleteTableColumns(
+    const std::string& target,
+    const std::optional<std::vector<std::string>>& columns,
+    const ExecContext* ctx) {
   ExecContext local(nullptr, nullptr);
   const ExecContext* use = ctx != nullptr ? ctx : &local;
   RESTORE_ASSIGN_OR_RETURN(std::vector<std::string> path,
@@ -620,6 +645,14 @@ Result<Table> Db::CompleteTable(const std::string& target,
   std::iota(tuples.begin(), tuples.end(), size_t{0});
   Table out(target);
   for (const auto& col : base->columns()) {
+    const std::string qualified = col.name().find('.') == std::string::npos
+                                      ? target + "." + col.name()
+                                      : col.name();
+    if (columns.has_value() &&
+        std::find(columns->begin(), columns->end(), qualified) ==
+            columns->end()) {
+      continue;
+    }
     Column merged = col;
     auto synth = std::find_if(
         synthesized.begin(), synthesized.end(),
@@ -662,12 +695,16 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     // Exact-match caching only: projecting a cached superset join would
     // change tuple multiplicities.
     const std::set<std::string> key{tables[0]};
+    std::optional<std::vector<std::string>> columns;
     if (config_.enable_cache) {
       std::shared_ptr<const Table> cached = cache_.GetExact(key, epoch);
       note_lookup(cached != nullptr);
       if (cached != nullptr) return cached;
+    } else {
+      RESTORE_ASSIGN_OR_RETURN(columns, QueryColumns(snapshot, query));
     }
-    RESTORE_ASSIGN_OR_RETURN(Table completed, CompleteTable(tables[0], ctx));
+    RESTORE_ASSIGN_OR_RETURN(Table completed,
+                             CompleteTableColumns(tables[0], columns, ctx));
     completed.QualifyColumnNames(tables[0]);
     auto result = std::make_shared<const Table>(std::move(completed));
     if (config_.enable_cache) cache_.Put(key, result, epoch);
@@ -770,22 +807,11 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
   }
 
   // A cached join may answer later queries over other columns, so it is
-  // written whole; otherwise only this query's columns are. A query that
-  // reads none (a bare COUNT(*)) keeps one, which carries the join's rows.
+  // written whole; otherwise only this query's columns are.
   CompletionOptions options;
   if (!config_.enable_cache) {
-    std::vector<std::string>& columns = options.join_columns.emplace();
-    for (const auto& agg : query.aggregates) {
-      if (!agg.column.empty()) columns.push_back(agg.column);
-    }
-    for (const auto& pred : query.predicates) columns.push_back(pred.column);
-    columns.insert(columns.end(), query.group_by.begin(),
-                   query.group_by.end());
-    if (columns.empty()) {
-      RESTORE_ASSIGN_OR_RETURN(const Table* first,
-                               snapshot.GetTable(tables[0]));
-      columns.push_back(tables[0] + "." + first->column(0).name());
-    }
+    RESTORE_ASSIGN_OR_RETURN(options.join_columns,
+                             QueryColumns(snapshot, query));
   }
   RESTORE_ASSIGN_OR_RETURN(CompletionResult completion,
                            CompleteViaPath(extended, options, ctx));
@@ -1174,6 +1200,13 @@ Status Db::RefreshModelNow(const std::string& key) {
   if (!entry->refreshing.compare_exchange_strong(expected, true)) {
     return Status::OK();  // another refresh of this path is already running
   }
+  // The flag holds until the publish attempt is over, on every path: a
+  // second refresh of this head in between would train a generation that
+  // PublishHead then refuses.
+  struct RefreshingGuard {
+    std::atomic<bool>& flag;
+    ~RefreshingGuard() { flag.store(false, std::memory_order_release); }
+  } guard{entry->refreshing};
   const Database& snapshot = *pin->data;
   const uint64_t next_gen = entry->generation + 1;
   PathModelConfig cfg = config_.model;
@@ -1184,7 +1217,6 @@ Status Db::RefreshModelNow(const std::string& key) {
       fault.ok()
           ? PathModel::Train(snapshot, annotation_, entry->path, cfg)
           : Result<std::unique_ptr<PathModel>>(fault);
-  entry->refreshing.store(false, std::memory_order_release);
   if (!trained.ok()) {
     refresh_failures_.fetch_add(1, std::memory_order_relaxed);
     refresh_failure_streak_.fetch_add(1, std::memory_order_relaxed);
@@ -1193,6 +1225,8 @@ Status Db::RefreshModelNow(const std::string& key) {
   }
   refresh_failure_streak_.store(0, std::memory_order_relaxed);
   RecordTrainingResult(key, Status::OK());
+  // Between training and the publish; a failure drops the trained model.
+  RESTORE_FAULT_POINT("refresh.publish");
   auto fresh = std::make_shared<ModelEntry>();
   fresh->model = std::shared_ptr<const PathModel>(std::move(trained).value());
   fresh->path = entry->path;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -645,11 +646,18 @@ class Db : public std::enable_shared_from_this<Db> {
   void RefreshWorkerLoop();
   void StopRefresher();
 
+  /// CompleteTable, keeping only the base columns whose qualified names
+  /// ("table.column") `columns` lists; unset keeps every column.
+  Result<Table> CompleteTableColumns(
+      const std::string& target,
+      const std::optional<std::vector<std::string>>& columns,
+      const ExecContext* ctx);
+
   /// Builds the completed join used to answer `query` (its column
   /// references qualified by QualifyQueryColumns), reading and writing the
   /// completion cache iff EngineConfig::enable_cache and recording hit/miss
-  /// accounting into the context's stats. An uncached multi-table join
-  /// carries only the columns `query` reads.
+  /// accounting into the context's stats. An uncached completion carries
+  /// only the columns `query` reads.
   Result<std::shared_ptr<const Table>> CompletedJoinFor(
       const Query& query, const ExecContext* ctx);
 

@@ -87,24 +87,8 @@ Result<ColumnDiscretizer> ColumnDiscretizer::Fit(const Column& column,
 
 int32_t ColumnDiscretizer::EncodeCell(const Column& column, size_t row) const {
   if (column.IsNull(row)) return -1;
-  if (type_ == ColumnType::kCategorical) {
-    const int64_t code = column.GetCode(row);
-    // Codes beyond the fitted vocabulary (possible if the dictionary grew
-    // after fitting) are clamped to the last known code.
-    return static_cast<int32_t>(
-        std::min<int64_t>(code, vocab_size_ - 1));
-  }
+  if (type_ == ColumnType::kCategorical) return EncodeCode(column.GetCode(row));
   return EncodeNumeric(column.GetNumeric(row));
-}
-
-int32_t ColumnDiscretizer::EncodeNumeric(double value) const {
-  // Binary search for the first bin whose upper edge >= value.
-  const auto it =
-      std::lower_bound(upper_edges_.begin(), upper_edges_.end(), value);
-  if (it == upper_edges_.end()) {
-    return static_cast<int32_t>(upper_edges_.size()) - 1;
-  }
-  return static_cast<int32_t>(it - upper_edges_.begin());
 }
 
 void ColumnDiscretizer::DecodeInto(int32_t code, Column* out,

@@ -1,6 +1,8 @@
 #ifndef RESTORE_RESTORE_DISCRETIZER_H_
 #define RESTORE_RESTORE_DISCRETIZER_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,11 +34,29 @@ class ColumnDiscretizer {
   int vocab_size() const { return vocab_size_; }
 
   /// Encodes row `row` of `column` (which must have the same type; typically
-  /// the fitted column or a joined copy of it). Null cells return -1.
+  /// the fitted column or a joined copy of it). Null cells return -1; other
+  /// cells return EncodeCode of their dictionary code (categorical) or
+  /// EncodeNumeric of their value (numeric).
   int32_t EncodeCell(const Column& column, size_t row) const;
 
-  /// Encodes a raw numeric value (numeric discretizers only).
-  int32_t EncodeNumeric(double value) const;
+  /// Encodes a raw numeric value (numeric discretizers only): the first bin
+  /// whose upper edge is >= value, or the last bin above every edge. That
+  /// is the count of edges below `value` (std::lower_bound's index on the
+  /// sorted edges), taken without branches; NaN counts none, so it lands in
+  /// bin 0.
+  int32_t EncodeNumeric(double value) const {
+    size_t below = 0;
+    for (const double edge : upper_edges_) below += edge < value;
+    return static_cast<int32_t>(below) -
+           static_cast<int32_t>(below == upper_edges_.size());
+  }
+
+  /// Encodes a dictionary code (categorical discretizers only). Codes beyond
+  /// the fitted vocabulary (possible if the dictionary grew after fitting)
+  /// are clamped to the last known code.
+  int32_t EncodeCode(int64_t code) const {
+    return static_cast<int32_t>(std::min<int64_t>(code, vocab_size_ - 1));
+  }
 
   /// Decodes `code` into a cell value appended to `out`. Numeric codes are
   /// jittered uniformly inside the bin; categorical codes append directly.

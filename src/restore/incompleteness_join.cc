@@ -70,6 +70,8 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
   parts[0].ids.resize(root->NumRows());
   std::iota(parts[0].ids.begin(), parts[0].ids.end(), size_t{0});
   std::string joined_name = root->name();
+  const std::optional<std::vector<std::string>>& wanted = options.join_columns;
+  const bool writes_join = !wanted.has_value() || !wanted->empty();
 
   for (size_t hop = 0; hop + 1 < path.size(); ++hop) {
     RESTORE_RETURN_IF_ERROR(ExecContext::Check(ctx));
@@ -175,8 +177,11 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
       // after earlier fan-out duplication) must share one synthesized
       // parent. The child's primary key serves as the identity.
       const Result<JoinColumn> ident = joined.Resolve(fk.child_table + ".id");
-      FlatKeyMap group_of_key(num_rows);
-      FlatKeyMap group_of_ident(num_rows);
+      // Only orphans (rows without a join partner) enter the maps.
+      const size_t orphans = static_cast<size_t>(
+          std::count(partners.begin(), partners.end(), size_t{0}));
+      FlatKeyMap group_of_key(orphans);
+      FlatKeyMap group_of_ident(orphans);
       size_t null_orphans = 0;
       size_t null_group = 0;
       for (size_t r = 0; r < num_rows; ++r) {
@@ -269,19 +274,25 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
     // from; the target's ids point at its base rows, at the replacement
     // rows, or past the base rows into the block synthesized here — one
     // block row per unique tuple on a fan-out hop, and per join row on an
-    // n:1 hop, whose parents may get a fresh key per row.
-    for (JoinPart& part : parts) {
-      part.ids = NextIds(part.ids, existing.left, synth_rows);
-    }
+    // n:1 hop, whose parents may get a fresh key per row. A completion that
+    // writes no join column never reads the last hop's ids or block, so it
+    // only draws the block's fresh ids: a reused executor's later ids stay
+    // the same.
+    const bool write = writes_join || hop + 2 < path.size();
     JoinPart next = NewPart(target_base, target, parts);
-    next.ids = std::move(existing.right);
-    next.ids.resize(existing.left.size() + synth_rows.size());
-    size_t* synth_ids = next.ids.data() + existing.left.size();
-    const size_t base_rows = target_base->NumRows();
-    for (size_t i = 0; i < synth_rows.size(); ++i) {
-      const size_t g = synth_group[i];
-      synth_ids[i] = replace ? replacement_rows[g]
-                             : base_rows + (fanout ? g : i);
+    if (write) {
+      for (JoinPart& part : parts) {
+        part.ids = NextIds(part.ids, existing.left, synth_rows);
+      }
+      next.ids = std::move(existing.right);
+      next.ids.resize(existing.left.size() + synth_rows.size());
+      size_t* synth_ids = next.ids.data() + existing.left.size();
+      const size_t base_rows = target_base->NumRows();
+      for (size_t i = 0; i < synth_rows.size(); ++i) {
+        const size_t g = synth_group[i];
+        synth_ids[i] = replace ? replacement_rows[g]
+                               : base_rows + (fanout ? g : i);
+      }
     }
     if (!replace && unique_synth > 0) {
       const size_t block_rows = fanout ? unique_synth : synth_rows.size();
@@ -296,6 +307,7 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
           }
         }
         if (synth_col != nullptr) {
+          if (!write) continue;
           if (fanout) {
             out = *synth_col;
           } else {
@@ -303,6 +315,7 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
           }
         } else if (base_name == fk.child_column && fanout) {
           // FK back to the evidence table: the parent's key.
+          if (!write) continue;
           out.AppendGather(lk_col, rep_rows);
         } else if (base_name == fk.parent_column && !fanout) {
           // The missing parent's key, when the child row knew it.
@@ -336,9 +349,13 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
           }
         } else {
           // Unknown keys / unmodeled columns / tuple factors: NULL.
+          if (!write) continue;
           out.AppendNulls(block_rows);
         }
-        RESTORE_RETURN_IF_ERROR(next.synthesized.AddColumn(std::move(out)));
+        if (write) {
+          RESTORE_RETURN_IF_ERROR(
+              next.synthesized.AddColumn(std::move(out)));
+        }
       }
     }
     parts.push_back(std::move(next));
@@ -364,7 +381,6 @@ Result<CompletionResult> IncompletenessJoinExecutor::CompletePathJoin(
   }
 
   // Write the join once, with the columns the caller reads.
-  const std::optional<std::vector<std::string>>& wanted = options.join_columns;
   const JoinView view(parts, joined_name);
   Table joined(joined_name);
   for (const JoinColumn& col : view.columns()) {

@@ -28,7 +28,8 @@ struct CompletionOptions {
   /// what it reads: Db::CompleteViaPath and cached joins every column, an
   /// uncached query join the query's columns, and callers that read only
   /// CompletionResult::synthesized (Db::CompleteTable, the selection
-  /// probes) none.
+  /// probes) none, which also skips the last hop's row ids and block of
+  /// synthesized tuples.
   std::optional<std::vector<std::string>> join_columns;
 };
 

@@ -37,6 +37,8 @@ class JoinColumn {
         base_rows_(base->size()) {}
 
   const std::string& name() const { return *name_; }
+  /// The cell type, shared by the base and the synthesized column.
+  ColumnType type() const { return base_->type(); }
 
   /// The column and row that hold join row `r`'s cell.
   std::pair<const Column*, size_t> Locate(size_t r) const {

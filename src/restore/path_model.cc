@@ -52,6 +52,37 @@ int64_t ClampTf(int64_t v, int tf_cap) {
   return std::max<int64_t>(0, std::min<int64_t>(v, tf_cap));
 }
 
+/// Writes the codes of `col`'s cells at join rows `rows` into column `a` of
+/// `codes`: EncodeCell's code per cell, with NULL (-1) as 0. The column's
+/// cell type is resolved once, not per cell; each cell is read through the
+/// part's ids.
+void EncodeColumn(const ColumnDiscretizer& disc, const JoinColumn& col,
+                  const std::vector<size_t>& rows, size_t a,
+                  IntMatrix* codes) {
+  const auto encode = [&](auto code_of) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const auto [cells, row] = col.Locate(rows[i]);
+      codes->at(i, a) = std::max<int32_t>(0, code_of(*cells, row));
+    }
+  };
+  if (disc.column_type() == ColumnType::kCategorical) {
+    encode([&disc](const Column& cells, size_t row) {
+      const int64_t code = cells.GetCode(row);
+      return code == kNullInt64 ? -1 : disc.EncodeCode(code);
+    });
+  } else if (col.type() == ColumnType::kDouble) {
+    encode([&disc](const Column& cells, size_t row) {
+      const double v = cells.GetDouble(row);
+      return IsNullDouble(v) ? -1 : disc.EncodeNumeric(v);
+    });
+  } else {
+    encode([&disc](const Column& cells, size_t row) {
+      const int64_t v = cells.GetInt64(row);
+      return v == kNullInt64 ? -1 : disc.EncodeNumeric(static_cast<double>(v));
+    });
+  }
+}
+
 /// Thread-safe log-gamma: std::lgamma writes the process-global `signgam`
 /// (POSIX), which is a data race when models train or load concurrently
 /// (parallel candidate training) and tabulate their tuple-factor posteriors.
@@ -610,11 +641,7 @@ Result<IntMatrix> PathModel::EncodeEvidencePrefix(
     auto col = joined.Resolve(attr.qualified);
     if (!attr.is_tuple_factor) {
       if (!col.ok()) return col.status();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const auto [cells, row] = col->Locate(rows[i]);
-        const int32_t code = attr.disc.EncodeCell(*cells, row);
-        codes.at(i, a) = std::max<int32_t>(0, code);
-      }
+      EncodeColumn(attr.disc, *col, rows, a, &codes);
       continue;
     }
     // Tuple-factor attribute inside the prefix: observed value if present,

@@ -31,6 +31,7 @@
 #include "restore/incompleteness_join.h"
 #include "restore/nn_replace.h"
 #include "restore/path_model.h"
+#include "restore/snapshot_index.h"
 
 namespace restore {
 namespace {
@@ -479,15 +480,18 @@ TEST_P(CompletionReference, ExecutorMatchesNaiveReferenceOnEveryCandidate) {
   size_t paths = 0;
   size_t synthesized = 0;
   size_t recorded = 0;
+  size_t ids_drawn = 0;
+  const SnapshotIndex index(*data);
   for (const std::string& target : annotation.incomplete_tables()) {
     auto candidates = (*db)->CandidatesFor(target);
     ASSERT_TRUE(candidates.ok()) << target << ": " << candidates.status();
     for (const auto& candidate : *candidates) {
       const std::string where = Join(candidate.path, ">");
+      const uint64_t seed = CompletionSeedOf(config, candidate.path);
       for (const CompletionOptions& options : {CompletionOptions(), record}) {
         auto produced = (*db)->CompleteViaPath(candidate.path, options);
         ASSERT_TRUE(produced.ok()) << where << ": " << produced.status();
-        Rng rng(CompletionSeedOf(config, candidate.path));
+        Rng rng(seed);
         auto expected = ReferenceCompletePathJoin(
             *data, annotation, *candidate.model, rng, options);
         ASSERT_TRUE(expected.ok()) << where << ": " << expected.status();
@@ -495,12 +499,40 @@ TEST_P(CompletionReference, ExecutorMatchesNaiveReferenceOnEveryCandidate) {
         synthesized += produced->synthesized_join_rows;
         recorded += produced->recorded_probs.size();
       }
+      // A reused executor continues its fresh synthetic ids. A completion
+      // that writes no join column skips its last hop's block but still
+      // draws the block's ids, so the next completion is the one that
+      // follows a full completion.
+      CompletionOptions no_join;
+      no_join.join_columns.emplace();
+      std::vector<CompletionResult> next;
+      for (const CompletionOptions& first : {no_join, CompletionOptions()}) {
+        IncompletenessJoinExecutor reused(&index, &annotation);
+        Rng first_rng(seed);
+        ASSERT_TRUE(
+            reused.CompletePathJoin(*candidate.model, first_rng, first).ok());
+        Rng next_rng(seed);
+        auto completed = reused.CompletePathJoin(*candidate.model, next_rng);
+        ASSERT_TRUE(completed.ok()) << where << ": " << completed.status();
+        next.push_back(std::move(completed).value());
+      }
+      EXPECT_EQ(CompletionDifference(next[0], next[1]), "") << where;
+      Rng fresh_rng(seed);
+      auto fresh = IncompletenessJoinExecutor(&index, &annotation)
+                       .CompletePathJoin(*candidate.model, fresh_rng);
+      ASSERT_TRUE(fresh.ok()) << where << ": " << fresh.status();
+      if (CompletionDifference(next[1], *fresh) != "") ++ids_drawn;
       ++paths;
     }
   }
   EXPECT_GT(paths, 0u);
   EXPECT_GT(synthesized, 0u);
   EXPECT_GT(recorded, 0u);
+  // Movies paths hop into tables whose keys other tables reference, so
+  // their synthesized tuples draw fresh ids; housing paths draw none.
+  if (setup->dataset == "movies") {
+    EXPECT_GT(ids_drawn, 0u);
+  }
 
   // The completed table: the base table plus the synthesized rows of the
   // selected path's completion.

@@ -1,8 +1,14 @@
 // Tests for column discretization, tuple factors, and metrics.
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "datagen/synthetic.h"
 #include "exec/result_set.h"
 #include "metrics/metrics.h"
@@ -121,6 +127,51 @@ TEST_P(DiscretizerBinSweep, EncodeIsMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Bins, DiscretizerBinSweep,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64));
+
+// A numeric value's bin is the count of upper edges below it, taken without
+// branches; on sorted edges that is std::lower_bound's index (the first
+// edge >= value), and a value above every edge lands in the last bin. Pinned
+// over random sorted edges with duplicates (a loaded discretizer takes any
+// edges) and values on an edge, between edges, below the first, above the
+// last, NaN and ±inf, through EncodeNumeric and EncodeCell alike.
+TEST(DiscretizerTest, BinCountMatchesLowerBound) {
+  Rng rng(911);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t bins = 1 + rng.NextUint64(40);
+    std::vector<double> edges(bins);
+    for (double& e : edges) e = std::floor(rng.NextGaussian() * 4.0);
+    std::sort(edges.begin(), edges.end());
+    BinaryWriter w;
+    w.U32(static_cast<uint32_t>(ColumnType::kDouble));
+    w.I32(static_cast<int32_t>(bins));
+    for (int k = 0; k < 4; ++k) w.VecF64(edges);  // edges, lo, hi, mean
+    BinaryReader r(w.buffer());
+    auto disc = ColumnDiscretizer::Load(&r);
+    ASSERT_TRUE(disc.ok()) << disc.status();
+
+    std::vector<double> values = edges;
+    values.push_back(edges.front() - 0.5);
+    values.push_back(edges.back() + 0.5);
+    for (double e : edges) values.push_back(e + 0.5);
+    values.push_back(std::numeric_limits<double>::quiet_NaN());
+    values.push_back(inf);
+    values.push_back(-inf);
+    Column col("x", ColumnType::kDouble);
+    for (double v : values) col.AppendDouble(v);
+    for (size_t i = 0; i < values.size(); ++i) {
+      const double v = values[i];
+      const auto it = std::lower_bound(edges.begin(), edges.end(), v);
+      const int32_t want = it == edges.end()
+                               ? static_cast<int32_t>(bins) - 1
+                               : static_cast<int32_t>(it - edges.begin());
+      EXPECT_EQ(disc->EncodeNumeric(v), want) << "value " << v;
+      // EncodeCell reads a NaN cell as NULL.
+      EXPECT_EQ(disc->EncodeCell(col, i), std::isnan(v) ? -1 : want)
+          << "value " << v;
+    }
+  }
+}
 
 TEST(TupleFactorTest, NamingAndDetection) {
   EXPECT_EQ(TupleFactorColumnName("apartment"), "__tf_apartment");

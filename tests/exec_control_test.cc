@@ -210,6 +210,11 @@ TEST(ExecControlTest, MaxCompletedRowsBudgetIsEnforced) {
 }
 
 TEST(ExecControlTest, CacheSwitchGatesReadsAndWrites) {
+  // Single-table queries over the incomplete table: one reads a column, a
+  // bare COUNT(*) reads none. Uncached, each completes only what it reads.
+  const char* kSingleSqls[] = {
+      "SELECT COUNT(*) FROM table_b WHERE b = 'b1' GROUP BY b;",
+      "SELECT COUNT(*) FROM table_b;"};
   // Cache off: no completed-join query reads or writes the cache.
   Database uncached_data = MakeIncompleteSynthetic(511);
   EngineConfig off = FastConfig();
@@ -220,6 +225,14 @@ TEST(ExecControlTest, CacheSwitchGatesReadsAndWrites) {
   ASSERT_TRUE(u1.ok()) << u1.status();
   auto u2 = uncached.Execute(kJoinSql);
   ASSERT_TRUE(u2.ok()) << u2.status();
+  std::vector<ResultSet> u_single;
+  for (const char* sql : kSingleSqls) {
+    auto rs = uncached.Execute(sql);
+    ASSERT_TRUE(rs.ok()) << sql << ": " << rs.status();
+    EXPECT_EQ(rs->stats().cache_hits + rs->stats().cache_misses, 0u);
+    EXPECT_GT(rs->stats().tuples_completed, 0u) << sql;
+    u_single.push_back(std::move(rs).value());
+  }
   for (const ResultSet* rs : {&*u1, &*u2}) {
     EXPECT_EQ(rs->stats().cache_hits, 0u);
     EXPECT_EQ(rs->stats().cache_misses, 0u);
@@ -241,6 +254,11 @@ TEST(ExecControlTest, CacheSwitchGatesReadsAndWrites) {
   EXPECT_GT(c2->stats().cache_hits, 0u);
   EXPECT_EQ(*c1, *u1);
   EXPECT_EQ(*c2, *u1);
+  for (size_t i = 0; i < u_single.size(); ++i) {
+    auto rs = cached.Execute(kSingleSqls[i]);
+    ASSERT_TRUE(rs.ok()) << kSingleSqls[i] << ": " << rs.status();
+    EXPECT_EQ(*rs, u_single[i]) << kSingleSqls[i];
+  }
 }
 
 TEST(ExecControlTest, ExecStatsBreakDownThePipeline) {

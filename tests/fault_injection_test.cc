@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -235,6 +236,56 @@ TEST_F(FaultInjectionTest, RefreshRetriesWithDeterministicBackoff) {
   EXPECT_LE(first[0], 75u);
   EXPECT_GE(first[1], 100u);
   EXPECT_LT(first[0], first[1]);
+}
+
+// ---- Refresh flag held until the publish -----------------------------------
+
+// A background refresh stalled between training and its publish still owns
+// the head: Freshness reports it refreshing, and a synchronous pass neither
+// trains the same head again nor waits for it.
+TEST_F(FaultInjectionTest, RefreshFlagHeldUntilPublish) {
+  Database incomplete = MakeIncompleteSynthetic(619);
+  RefreshPolicy policy;
+  policy.staleness_rows_threshold = 1;
+  policy.max_retries = 0;
+  auto db = Db::Open(&incomplete, Annotation(),
+                     DbOptions().WithEngine(FastConfig()).WithRefreshPolicy(
+                         policy));
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto warm = (*db)->ExecuteCompletedSql(kCountByB);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+
+  FaultInjection& faults = FaultInjection::Instance();
+  faults.Arm("refresh.train", FaultPolicy::DelayMs(0));  // counts trainings
+  faults.Arm("refresh.publish", FaultPolicy::DelayMs(3000));
+  ASSERT_TRUE((*db)->Append("table_b", MakeRows(5, 920000, "novel")).ok());
+
+  // Bounded waits: a broken refresher fails the test instead of hanging it.
+  const auto wait_until = [](const std::function<bool()>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  };
+  ASSERT_TRUE(wait_until([&] { return faults.hits("refresh.publish") > 0; }))
+      << "the background refresh never reached its publish";
+
+  // Inside the publish delay.
+  bool refreshing = false;
+  for (const ModelInfo& info : (*db)->Freshness()) {
+    refreshing = refreshing || info.refreshing;
+  }
+  EXPECT_TRUE(refreshing);
+  EXPECT_TRUE((*db)->RefreshStaleModels().ok());
+  EXPECT_EQ(faults.hits("refresh.train"), 1u);
+
+  ASSERT_TRUE(wait_until([&] { return (*db)->stats().models_refreshed > 0; }))
+      << "the stalled refresh never published";
+  EXPECT_EQ((*db)->stats().models_refreshed, 1u);
+  EXPECT_EQ(faults.hits("refresh.train"), 1u);
 }
 
 // ---- Circuit breaker: serve stale, fail fast, half-open probe ---------------

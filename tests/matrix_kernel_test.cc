@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,18 +167,21 @@ struct KernelVariant {
   void (*matmul_rows_bias)(const float*, const float*, float*, size_t,
                            size_t, size_t, size_t, const float*);
   void (*unit_major)(const UnitPanel&, size_t, size_t);
+  void (*softmax_panel)(const SoftmaxBlock&, size_t, size_t);
 };
 
 std::vector<KernelVariant> RunnableVariants() {
   std::vector<KernelVariant> variants = {
       {"generic", generic_variant::MatMulRowsKernel,
        generic_variant::MatMulRowsBiasKernel,
-       generic_variant::UnitMajorKernel}};
+       generic_variant::UnitMajorKernel,
+       generic_variant::SoftmaxPanelKernel}};
 #ifdef RESTORE_TEST_AVX2_VARIANT
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     variants.push_back({"avx2", avx2_variant::MatMulRowsKernel,
                         avx2_variant::MatMulRowsBiasKernel,
-                        avx2_variant::UnitMajorKernel});
+                        avx2_variant::UnitMajorKernel,
+                        avx2_variant::SoftmaxPanelKernel});
   }
 #endif
   return variants;
@@ -302,6 +306,133 @@ TEST(MatrixKernelConformance, UnitMajorMatchesRowMajorKernelBitExact) {
   }
 }
 
+// The per-row softmax and early-exit inverse-CDF pick that SoftmaxPanel
+// runs eight rows a vector: a std::max fold, std::exp, a float sum,
+// inv = 1 / sum, p = e * inv, and a double walk that stops at the first
+// u < acc. `acc` gets each code's running sum.
+void ScalarSoftmaxRow(const std::vector<float>& logits, double u,
+                      std::vector<float>* e, std::vector<float>* p,
+                      std::vector<double>* acc, int32_t* pick) {
+  const size_t vocab = logits.size();
+  float max_v = logits[0];
+  for (float l : logits) max_v = std::max(max_v, l);
+  float sum = 0.0f;
+  for (size_t c = 0; c < vocab; ++c) {
+    (*e)[c] = std::exp(logits[c] - max_v);
+    sum += (*e)[c];
+  }
+  const float inv = 1.0f / sum;
+  for (size_t c = 0; c < vocab; ++c) (*p)[c] = (*e)[c] * inv;
+  double running = 0.0;
+  for (size_t c = 0; c < vocab; ++c) {
+    running += (*p)[c];
+    (*acc)[c] = running;
+  }
+  *pick = static_cast<int32_t>(vocab) - 1;
+  for (size_t c = 0; c < vocab; ++c) {
+    if (u < (*acc)[c]) {
+      *pick = static_cast<int32_t>(c);
+      break;
+    }
+  }
+}
+
+// SoftmaxPanel against the scalar row softmax, per ISA variant, bit for
+// bit: the exp terms written back into the block, the row-major
+// probabilities and the picks, in its three modes (probabilities, picks,
+// both), over row ranges with tails of every length, tied maxima (integer
+// logits), uniforms equal to a running sum and above the last one. Nothing
+// outside rows [r0, r1) of the block, the probabilities and the picks may
+// change.
+TEST(MatrixKernelConformance, SoftmaxPanelMatchesScalarSoftmaxBitExact) {
+  Rng rng(707);
+  const size_t kVocabs[] = {1, 2, 5, 8, 9, 12, 33, 150, 300};
+  const size_t kPickStride = 3;
+  size_t equal_u = 0, above_u = 0;
+  for (const KernelVariant& variant : RunnableVariants()) {
+    for (const size_t vocab : kVocabs) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const size_t rows = 1 + rng.NextUint64(41);
+        const size_t ld = rows + rng.NextUint64(9);
+        const size_t r0 = rng.NextUint64(rows / 3 + 1);
+        const size_t r1 = rows - rng.NextUint64((rows - r0) / 3 + 1);
+        const bool ties = trial % 2 == 1;
+        std::vector<float> block(vocab * ld);
+        for (float& l : block) {
+          const double g = rng.NextGaussian() * 3.0;
+          l = static_cast<float>(ties ? std::floor(g) : g);
+        }
+        // References, then uniforms placed on a running sum or past the
+        // last one; the reference pick reads the final uniform.
+        std::vector<double> u(ld, 0.0);
+        std::vector<std::vector<float>> e(ld), p(ld);
+        std::vector<int32_t> pick(ld, 0);
+        for (size_t r = r0; r < r1; ++r) {
+          std::vector<float> logits(vocab);
+          for (size_t c = 0; c < vocab; ++c) logits[c] = block[c * ld + r];
+          e[r].resize(vocab);
+          p[r].resize(vocab);
+          std::vector<double> acc(vocab);
+          ScalarSoftmaxRow(logits, 0.0, &e[r], &p[r], &acc, &pick[r]);
+          switch (rng.NextUint64(4)) {
+            case 0:
+              u[r] = acc[rng.NextUint64(vocab)];
+              ++equal_u;
+              break;
+            case 1:
+              u[r] = std::nextafter(acc[vocab - 1], 2.0);
+              ++above_u;
+              break;
+            default:
+              u[r] = rng.NextDouble();
+          }
+          ScalarSoftmaxRow(logits, u[r], &e[r], &p[r], &acc, &pick[r]);
+        }
+        for (int mode = 1; mode <= 3; ++mode) {
+          const bool want_probs = mode & 1, want_picks = mode & 2;
+          const float sentinel = -12345.0f;
+          std::vector<float> got_block = block;
+          std::vector<float> probs(ld * vocab, sentinel);
+          std::vector<int32_t> picks(ld * kPickStride, -7);
+          SoftmaxBlock sb;
+          sb.logits = got_block.data();
+          sb.vocab = vocab;
+          sb.ld = ld;
+          sb.probs = want_probs ? probs.data() : nullptr;
+          sb.u = u.data();
+          sb.picks = want_picks ? picks.data() : nullptr;
+          sb.pick_stride = kPickStride;
+          variant.softmax_panel(sb, r0, r1);
+          const auto where = [&](size_t r) {
+            return std::string(variant.name) + " vocab " +
+                   std::to_string(vocab) + " mode " + std::to_string(mode) +
+                   " row " + std::to_string(r) + " of [" +
+                   std::to_string(r0) + ", " + std::to_string(r1) + ")";
+          };
+          for (size_t r = 0; r < ld; ++r) {
+            const bool in = r >= r0 && r < r1;
+            for (size_t c = 0; c < vocab; ++c) {
+              ASSERT_EQ(Bits(got_block[c * ld + r]),
+                        Bits(in ? e[r][c] : block[c * ld + r]))
+                  << where(r) << " code " << c;
+              ASSERT_EQ(Bits(probs[r * vocab + c]),
+                        Bits(in && want_probs ? p[r][c] : sentinel))
+                  << where(r) << " code " << c;
+            }
+            for (size_t k = 0; k < kPickStride; ++k) {
+              const int32_t want =
+                  in && want_picks && k == 0 ? pick[r] : -7;
+              ASSERT_EQ(picks[r * kPickStride + k], want) << where(r);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(equal_u, 0u);
+  EXPECT_GT(above_u, 0u);
+}
+
 // The fused bias (added in the store phase) must be bit-identical to the
 // separate MatMul + AddBiasRows passes — including the degenerate k == 0
 // product, where the bias applies to an all-zero GEMM result.
@@ -353,18 +484,6 @@ TEST(MatrixKernelConformance, PackedTransBScratchOverloadMatches) {
     Matrix want;
     NaiveMatMulTransB(a, b, &want);
     ExpectNear(got_scratch, want, "MatMulTransB(packed)", sh.m, sh.k, sh.n);
-  }
-}
-
-TEST(MatrixKernelConformance, RowMaxMatchesScalarFold) {
-  Rng rng(909);
-  for (size_t n : {size_t{1}, size_t{3}, size_t{7}, size_t{8}, size_t{9},
-                   size_t{16}, size_t{24}, size_t{31}, size_t{300}}) {
-    std::vector<float> v(n);
-    for (auto& x : v) x = static_cast<float>(rng.NextGaussian());
-    float want = v[0];
-    for (float x : v) want = std::max(want, x);
-    EXPECT_EQ(RowMax(v.data(), n), want) << "n=" << n;
   }
 }
 

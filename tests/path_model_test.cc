@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.h"
+#include "common/string_util.h"
 #include "datagen/incompleteness.h"
 #include "datagen/setups.h"
 #include "datagen/synthetic.h"
 #include "exec/join.h"
 #include "metrics/metrics.h"
 #include "restore/incompleteness_join.h"
+#include "restore/join_view.h"
 #include "restore/path_model.h"
 #include "restore/path_selection.h"
 #include "restore/snapshot_index.h"
@@ -324,6 +326,111 @@ TEST(PathModelTest, LoadRejectsTfCapThatDisagreesWithTfDiscretizer) {
     ASSERT_FALSE(loaded.ok()) << "tf_cap " << bad_cap;
     EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
   }
+}
+
+// EncodeEvidencePrefix encodes a column at a time. Each code must be the
+// per-cell EncodeCell's (NULL as 0), read through a JoinView whose parts
+// mix base and synthesized rows, with NULL cells in both and categorical
+// codes past the fitted vocabulary (which clamp), over double, int64 and
+// categorical attributes.
+TEST(PathModelTest, EncodeEvidencePrefixMatchesPerCellEncode) {
+  Rng rng(17);
+  Database db;
+  Table parent("p", {{"id", ColumnType::kInt64},
+                     {"x", ColumnType::kDouble},
+                     {"c", ColumnType::kCategorical},
+                     {"n", ColumnType::kInt64}});
+  Table child("q", {{"id", ColumnType::kInt64},
+                    {"p_id", ColumnType::kInt64},
+                    {"y", ColumnType::kDouble}});
+  int64_t child_id = 0;
+  for (int64_t i = 0; i < 150; ++i) {
+    ASSERT_TRUE(parent
+                    .AppendRow({Value::Int64(i),
+                                i % 11 == 0 ? Value::Null()
+                                            : Value::Double(rng.NextGaussian()),
+                                Value::Categorical(StrFormat("c%d", static_cast<int>(i % 5))),
+                                i % 13 == 0 ? Value::Null()
+                                            : Value::Int64(i % 7)})
+                    .ok());
+    for (int64_t k = 0; k < i % 3; ++k) {
+      ASSERT_TRUE(child
+                      .AppendRow({Value::Int64(child_id++), Value::Int64(i),
+                                  Value::Double(rng.NextGaussian() * 5.0)})
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db.AddTable(std::move(parent)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(child)).ok());
+  ASSERT_TRUE(db.AddForeignKey("q", "p_id", "p", "id").ok());
+  SchemaAnnotation annotation;
+  annotation.MarkIncomplete("q");
+  auto model = PathModel::Train(db, annotation, {"p", "q"}, FastConfig());
+  ASSERT_TRUE(model.ok()) << model.status();
+
+  // Each part: the base table, a synthesized block with NULLs and, for the
+  // categorical column, codes past the dictionary, and random ids over both.
+  const size_t kJoinRows = 400;
+  std::vector<JoinPart> parts(2);
+  for (size_t t = 0; t < 2; ++t) {
+    const Table* base = db.GetTable(t == 0 ? "p" : "q").value();
+    JoinPart& part = parts[t];
+    part.base = base;
+    part.synthesized = Table(base->name());
+    for (const Column& col : base->columns()) {
+      part.names.push_back(base->name() + "." + col.name());
+      Column block = col.CloneEmpty();
+      for (int64_t k = 0; k < 40; ++k) {
+        if (k % 4 == 0) {
+          block.AppendNull();
+        } else if (col.type() == ColumnType::kDouble) {
+          block.AppendDouble(rng.NextGaussian() * 8.0);
+        } else if (col.type() == ColumnType::kCategorical) {
+          block.AppendCode(static_cast<int64_t>(col.dictionary()->size()) +
+                           k % 3 - 1);
+        } else {
+          block.AppendInt64(k - 20);
+        }
+      }
+      ASSERT_TRUE(part.synthesized.AddColumn(std::move(block)).ok());
+    }
+    for (size_t r = 0; r < kJoinRows; ++r) {
+      part.ids.push_back(rng.NextUint64(base->NumRows() + 40));
+    }
+  }
+  const std::string join_name = "p_x_q";
+  const JoinView view(parts, join_name);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < 300; ++i) rows.push_back(rng.NextUint64(kJoinRows));
+
+  size_t checked = 0, nulls = 0, clamped = 0, synthesized = 0;
+  for (size_t upto = 0; upto < 2; ++upto) {
+    auto codes = (*model)->EncodeEvidencePrefix(db, view, upto, rows);
+    ASSERT_TRUE(codes.ok()) << codes.status();
+    for (size_t a = 0; a < (*model)->attrs().size(); ++a) {
+      const PathAttr& attr = (*model)->attrs()[a];
+      if (attr.is_tuple_factor || a >= (*model)->EndAttrOfTable(upto)) {
+        continue;
+      }
+      auto col = view.Resolve(attr.qualified);
+      ASSERT_TRUE(col.ok()) << col.status();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const auto [cells, row] = col->Locate(rows[i]);
+        const int32_t code = attr.disc.EncodeCell(*cells, row);
+        ASSERT_EQ(codes->at(i, a), std::max<int32_t>(0, code))
+            << attr.qualified << " join row " << rows[i];
+        ++checked;
+        nulls += code < 0;
+        synthesized += row != rows[i] && cells->size() == 40;
+        clamped += cells->type() == ColumnType::kCategorical && code >= 0 &&
+                   cells->GetCode(row) >= attr.disc.vocab_size();
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(nulls, 0u);
+  EXPECT_GT(clamped, 0u);
+  EXPECT_GT(synthesized, 0u);
 }
 
 TEST(IncompletenessJoinTest, RestoresCardinality) {
