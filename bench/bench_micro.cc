@@ -43,7 +43,7 @@ void BM_GemmKernels(benchmark::State& state) {
   Rng rng(7);
   const size_t dim = static_cast<size_t>(state.range(0));
   const int op = static_cast<int>(state.range(1));
-  Matrix a(dim, dim), b(dim, dim), out(dim, dim);
+  Matrix a(dim, dim), b(dim, dim), out(dim, dim), pack;
   FillRandom(&a, rng);
   FillRandom(&b, rng);
   for (auto _ : state) {
@@ -52,7 +52,7 @@ void BM_GemmKernels(benchmark::State& state) {
         MatMul(a, b, &out);
         break;
       case 1:
-        MatMulTransB(a, b, &out);
+        MatMulTransB(a, b, &out, &pack);
         break;
       default:
         // Reset between iterations or the accumulation overflows to inf and

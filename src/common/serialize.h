@@ -53,14 +53,6 @@ class BinaryWriter {
     U64(v.size());
     Raw(v.data(), v.size() * sizeof(int32_t));
   }
-  void VecI64(const std::vector<int64_t>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size() * sizeof(int64_t));
-  }
-  void VecU64(const std::vector<uint64_t>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size() * sizeof(uint64_t));
-  }
   void VecStr(const std::vector<std::string>& v) {
     U64(v.size());
     for (const auto& s : v) Str(s);
@@ -133,8 +125,6 @@ class BinaryReader {
   std::vector<float> VecF32() { return Vec<float>(); }
   std::vector<double> VecF64() { return Vec<double>(); }
   std::vector<int32_t> VecI32() { return Vec<int32_t>(); }
-  std::vector<int64_t> VecI64() { return Vec<int64_t>(); }
-  std::vector<uint64_t> VecU64() { return Vec<uint64_t>(); }
   std::vector<std::string> VecStr() {
     const uint64_t n = U64();
     std::vector<std::string> v;

@@ -65,8 +65,4 @@ void AdamOptimizer::Step() {
   });
 }
 
-void AdamOptimizer::ZeroGrad() {
-  for (Param* p : params_) p->ZeroGrad();
-}
-
 }  // namespace restore

@@ -27,11 +27,6 @@ class AdamOptimizer {
   /// Applies one update from the accumulated gradients, then zeroes them.
   void Step();
 
-  /// Zeroes all parameter gradients without stepping.
-  void ZeroGrad();
-
-  void set_learning_rate(float lr) { options_.learning_rate = lr; }
-  float learning_rate() const { return options_.learning_rate; }
   int64_t step_count() const { return t_; }
 
  private:

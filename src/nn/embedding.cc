@@ -21,9 +21,8 @@ EmbeddingSet::EmbeddingSet(const std::vector<int>& vocab_sizes,
   }
 }
 
-void EmbeddingSet::Forward(const IntMatrix& codes, Matrix* out,
-                           bool cache_codes) {
-  if (cache_codes) codes_cache_ = codes;
+void EmbeddingSet::Forward(const IntMatrix& codes, Matrix* out) {
+  codes_cache_ = codes;
   ForwardInference(codes, out);
 }
 

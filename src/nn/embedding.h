@@ -27,9 +27,9 @@ class EmbeddingSet {
   }
 
   /// Embeds `codes` ([batch x n_attrs]) into `out`
-  /// ([batch x n_attrs*embed_dim]). Codes must be in range per attribute.
-  /// `cache_codes` = false skips the snapshot Backward needs (inference).
-  void Forward(const IntMatrix& codes, Matrix* out, bool cache_codes = true);
+  /// ([batch x n_attrs*embed_dim]) and keeps the codes for Backward. Codes
+  /// must be in range per attribute.
+  void Forward(const IntMatrix& codes, Matrix* out);
 
   /// Reentrant inference gather: touches no member state, so any number of
   /// threads may embed batches through one table set concurrently.

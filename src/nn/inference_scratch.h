@@ -58,22 +58,19 @@ struct InferenceScratch {
 /// back on destruction. The lock is held only for the pop/push — never
 /// across a forward pass — so N concurrent inference calls proceed on N
 /// arenas with no serialization. At steady state the pool holds up to
-/// max_idle() arenas, each already shaped for its model (PathModel owns one
+/// kMaxIdle arenas, each already shaped for its model (PathModel owns one
 /// pool per model, keyed by identity).
 ///
 /// Bounded retention: arenas are ~batch x hidden floats each, so a server
 /// hosting thousands of models must not let every pool keep its historic
-/// peak concurrency forever. Release() retains at most `max_idle` arenas;
+/// peak concurrency forever. Release() retains at most kMaxIdle arenas;
 /// leases beyond that cap still succeed (allocate-and-free), they just
-/// don't pool. 0 means unbounded.
+/// don't pool.
 class InferenceScratchPool {
  public:
-  /// Default retention cap. Generous for typical per-model concurrency
-  /// (a handful of sessions) while bounding thousand-model deployments.
-  static constexpr size_t kDefaultMaxIdle = 8;
-
-  explicit InferenceScratchPool(size_t max_idle = kDefaultMaxIdle)
-      : max_idle_(max_idle) {}
+  /// Retention cap. Generous for typical per-model concurrency (a handful
+  /// of sessions) while bounding thousand-model deployments.
+  static constexpr size_t kMaxIdle = 8;
 
   class Lease {
    public:
@@ -116,24 +113,12 @@ class InferenceScratchPool {
     return free_.size();
   }
 
-  /// Maximum idle arenas retained (0 = unbounded).
-  size_t max_idle() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_idle_;
-  }
-  /// Reconfigures the retention cap; surplus idle arenas are freed here.
-  void set_max_idle(size_t max_idle) {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_idle_ = max_idle;
-    if (max_idle_ > 0 && free_.size() > max_idle_) free_.resize(max_idle_);
-  }
-
   /// Total Acquire() calls over the pool's lifetime.
   size_t total_leases() const {
     std::lock_guard<std::mutex> lock(mu_);
     return total_leases_;
   }
-  /// Arenas released but not retained because the pool was at max_idle.
+  /// Arenas released but not retained because the pool was at kMaxIdle.
   size_t dropped() const {
     std::lock_guard<std::mutex> lock(mu_);
     return dropped_;
@@ -142,7 +127,7 @@ class InferenceScratchPool {
  private:
   void Release(std::unique_ptr<InferenceScratch> s) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (max_idle_ > 0 && free_.size() >= max_idle_) {
+    if (free_.size() >= kMaxIdle) {
       ++dropped_;
       return;  // allocate-and-free beyond the cap; ~s frees it
     }
@@ -151,7 +136,6 @@ class InferenceScratchPool {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<InferenceScratch>> free_;
-  size_t max_idle_ = kDefaultMaxIdle;
   size_t total_leases_ = 0;
   size_t dropped_ = 0;
 };

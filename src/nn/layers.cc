@@ -18,8 +18,8 @@ Dense::Dense(size_t in_dim, size_t out_dim, Rng& rng) {
   KaimingInit(&w_.value, in_dim, rng);
 }
 
-void Dense::Forward(const Matrix& x, Matrix* y, bool cache_input) {
-  if (cache_input) x_cache_ = x;
+void Dense::Forward(const Matrix& x, Matrix* y) {
+  x_cache_ = x;
   MatMul(x, w_.value, y);
   AddBiasRows(b_.value, y);
 }
@@ -32,11 +32,6 @@ void Dense::Backward(const Matrix& dy, Matrix* dx) {
   MatMulTransAAccum(x_cache_, dy, &w_.grad);
   AccumBiasGrad(dy, &b_.grad);
   MatMulTransB(dy, w_.value, dx, &pack_scratch_);
-}
-
-void Dense::BackwardNoInputGrad(const Matrix& dy) {
-  MatMulTransAAccum(x_cache_, dy, &w_.grad);
-  AccumBiasGrad(dy, &b_.grad);
 }
 
 MaskedDense::MaskedDense(Matrix mask, Rng& rng) : mask_(std::move(mask)) {
@@ -53,19 +48,14 @@ void MaskedDense::RefreshMaskedWeights() {
   for (size_t i = 0; i < w_.value.size(); ++i) out[i] = w[i] * m[i];
 }
 
-void MaskedDense::Forward(const Matrix& x, Matrix* y, bool cache_input) {
-  if (cache_input) x_cache_ = x;
+void MaskedDense::Forward(const Matrix& x, Matrix* y) {
+  x_cache_ = x;
   RefreshMaskedWeights();
   MatMul(x, masked_w_, y);
   AddBiasRows(b_.value, y);
 }
 
 void MaskedDense::Backward(const Matrix& dy, Matrix* dx) {
-  BackwardNoInputGrad(dy);
-  MatMulTransB(dy, masked_w_, dx, &pack_scratch_);
-}
-
-void MaskedDense::BackwardNoInputGrad(const Matrix& dy) {
   // dW = (x^T dy) * M  -- accumulate masked.
   dw_scratch_.Resize(w_.value.rows(), w_.value.cols());
   dw_scratch_.Fill(0.0f);
@@ -75,6 +65,7 @@ void MaskedDense::BackwardNoInputGrad(const Matrix& dy) {
   const float* __restrict__ d = dw_scratch_.data();
   for (size_t i = 0; i < dw_scratch_.size(); ++i) g[i] += d[i] * m[i];
   AccumBiasGrad(dy, &b_.grad);
+  MatMulTransB(dy, masked_w_, dx, &pack_scratch_);
 }
 
 }  // namespace restore

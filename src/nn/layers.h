@@ -35,17 +35,13 @@ class Dense {
   Dense() = default;
   Dense(size_t in_dim, size_t out_dim, Rng& rng);
 
-  /// y = x W + b. `cache_input` = false skips the input snapshot for
-  /// inference-only passes (sampling, evaluation); Backward then requires a
-  /// preceding caching Forward.
-  void Forward(const Matrix& x, Matrix* y, bool cache_input = true);
+  /// y = x W + b; keeps x for Backward.
+  void Forward(const Matrix& x, Matrix* y);
   /// Reentrant inference forward: touches no member state, so any number of
   /// threads may call it concurrently on one layer.
   void ForwardInference(const Matrix& x, Matrix* y) const;
   /// Accumulates dW, db; writes dx (same shape as the cached x).
   void Backward(const Matrix& dy, Matrix* dx);
-  /// Backward variant that skips computing dx (for the first layer).
-  void BackwardNoInputGrad(const Matrix& dy);
 
   void CollectParams(std::vector<Param*>* params) {
     params->push_back(&w_);
@@ -74,9 +70,8 @@ class MaskedDense {
   /// `mask` must be [in_dim x out_dim] with entries in {0, 1}.
   MaskedDense(Matrix mask, Rng& rng);
 
-  void Forward(const Matrix& x, Matrix* y, bool cache_input = true);
+  void Forward(const Matrix& x, Matrix* y);
   void Backward(const Matrix& dy, Matrix* dx);
-  void BackwardNoInputGrad(const Matrix& dy);
 
   /// Recomputes the cached effective weight (W * M). Must be called after
   /// the optimizer's final step (or after loading parameters) and before

@@ -10,45 +10,6 @@ namespace restore {
 
 namespace {
 
-// Gradient of logits is scaled by 1/batch so the loss is a per-row mean.
-// Rows are sharded across the thread pool; each shard accumulates its own
-// partial loss, and partials are reduced in shard order afterwards.
-void SoftmaxCrossEntropySlice(const Matrix& logits, const IntMatrix& targets,
-                              size_t attr, size_t begin, size_t end,
-                              float inv_batch, float* loss_out,
-                              Matrix* dlogits) {
-  const size_t batch = logits.rows();
-  const size_t grain = LossRowGrain(end - begin);
-  const size_t shards = batch == 0 ? 0 : (batch + grain - 1) / grain;
-  std::vector<float> partial(shards, 0.0f);
-  ParallelFor(0, batch, grain, [&](size_t lo, size_t hi) {
-    float loss = 0.0f;
-    for (size_t r = lo; r < hi; ++r) {
-      const float* row = logits.row(r);
-      float max_v = row[begin];
-      for (size_t c = begin; c < end; ++c) max_v = std::max(max_v, row[c]);
-      float sum = 0.0f;
-      for (size_t c = begin; c < end; ++c) sum += std::exp(row[c] - max_v);
-      const float log_sum = std::log(sum) + max_v;
-      const size_t target = begin + static_cast<size_t>(targets.at(r, attr));
-      assert(target < end);
-      loss += log_sum - row[target];
-      if (dlogits != nullptr) {
-        float* drow = dlogits->row(r);
-        for (size_t c = begin; c < end; ++c) {
-          const float p = std::exp(row[c] - log_sum);
-          drow[c] = p * inv_batch;
-        }
-        drow[target] -= inv_batch;
-      }
-    }
-    partial[lo / grain] = loss;
-  });
-  float loss = 0.0f;
-  for (float p : partial) loss += p;
-  *loss_out = loss * inv_batch;
-}
-
 // Row-block grain of the inference path. A block runs every layer and the
 // logit block while its unit-major slices stay cache-resident; the grain is
 // shape-only, so shard boundaries never depend on the thread count.
@@ -137,11 +98,11 @@ Matrix MadeModel::BuildOutputMask() const {
 }
 
 void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
-                        Matrix* logits, bool for_backward) {
+                        Matrix* logits) {
   assert(codes.cols() == num_attrs());
   assert(!has_context_ || (context.rows() == codes.rows() &&
                            context.cols() == config_.context_dim));
-  embed_.Forward(codes, &x0_, for_backward);
+  embed_.Forward(codes, &x0_);
   if (relu_.size() != config_.num_layers) {
     relu_.assign(config_.num_layers, Matrix());
     h_.assign(config_.num_layers, Matrix());
@@ -150,9 +111,9 @@ void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
   const Matrix* prev = &x0_;
   for (size_t l = 0; l < config_.num_layers; ++l) {
     Matrix& z = relu_[l];  // activation buffers persist across calls
-    hidden_[l].Forward(*prev, &z, for_backward);
+    hidden_[l].Forward(*prev, &z);
     if (has_context_) {
-      ctx_hidden_[l].Forward(context, &ctx_scratch_, for_backward);
+      ctx_hidden_[l].Forward(context, &ctx_scratch_);
       AddInPlace(ctx_scratch_, &z);
     }
     ReluInPlace(&z);
@@ -166,9 +127,9 @@ void MadeModel::Forward(const IntMatrix& codes, const Matrix& context,
       prev = &h_[l];
     }
   }
-  out_.Forward(*prev, logits, for_backward);
+  out_.Forward(*prev, logits);
   if (has_context_) {
-    ctx_out_.Forward(context, &ctx_out_scratch_, for_backward);
+    ctx_out_.Forward(context, &ctx_out_scratch_);
     AddInPlace(ctx_out_scratch_, logits);
   }
 }
@@ -341,35 +302,6 @@ void MadeModel::ComputeLogits(size_t attr, size_t lo, size_t hi,
            s->logit_block.data(), lo, hi, s);
 }
 
-float MadeModel::NllLoss(const Matrix& logits, const IntMatrix& targets,
-                         size_t first_attr, Matrix* dlogits) const {
-  assert(logits.cols() == total_vocab());
-  dlogits->Resize(logits.rows(), logits.cols());
-  if (first_attr > 0) dlogits->Fill(0.0f);  // skipped blocks must be zero
-  const float inv_batch = 1.0f / static_cast<float>(logits.rows());
-  float total = 0.0f;
-  for (size_t a = first_attr; a < num_attrs(); ++a) {
-    float loss = 0.0f;
-    SoftmaxCrossEntropySlice(logits, targets, a, offsets_[a], offsets_[a + 1],
-                             inv_batch, &loss, dlogits);
-    total += loss;
-  }
-  return total;
-}
-
-float MadeModel::NllLossOnly(const Matrix& logits, const IntMatrix& targets,
-                             size_t first_attr) const {
-  const float inv_batch = 1.0f / static_cast<float>(logits.rows());
-  float total = 0.0f;
-  for (size_t a = first_attr; a < num_attrs(); ++a) {
-    float loss = 0.0f;
-    SoftmaxCrossEntropySlice(logits, targets, a, offsets_[a], offsets_[a + 1],
-                             inv_batch, &loss, nullptr);
-    total += loss;
-  }
-  return total;
-}
-
 float MadeModel::NllLossWeighted(const Matrix& logits,
                                  const IntMatrix& targets, size_t first_attr,
                                  const Matrix& weights,
@@ -422,16 +354,6 @@ float MadeModel::NllLossWeighted(const Matrix& logits,
     total += loss * inv;
   }
   return total;
-}
-
-float MadeModel::AttrNll(const Matrix& logits, const IntMatrix& targets,
-                         size_t attr) const {
-  float loss = 0.0f;
-  SoftmaxCrossEntropySlice(logits, targets, attr, offsets_[attr],
-                           offsets_[attr + 1],
-                           1.0f / static_cast<float>(logits.rows()), &loss,
-                           nullptr);
-  return loss;
 }
 
 void MadeModel::Backward(const Matrix& dlogits, Matrix* dcontext) {
@@ -547,14 +469,6 @@ void MadeModel::CollectParams(std::vector<Param*>* params) {
   for (auto& layer : ctx_hidden_) layer.CollectParams(params);
   out_.CollectParams(params);
   if (has_context_) ctx_out_.CollectParams(params);
-}
-
-size_t MadeModel::NumParameters() {
-  std::vector<Param*> params;
-  CollectParams(&params);
-  size_t total = 0;
-  for (Param* p : params) total += p->value.size();
-  return total;
 }
 
 }  // namespace restore

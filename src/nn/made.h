@@ -54,40 +54,26 @@ class MadeModel {
 
   /// Computes logits [batch x total_vocab] for all attributes.
   /// `context` must be [batch x context_dim] (ignored when context_dim == 0;
-  /// pass an empty Matrix). Caches activations for Backward unless
-  /// `for_backward` is false (inference-only passes skip the input
-  /// snapshots). Activation buffers are reused across calls.
+  /// pass an empty Matrix). Caches the activations Backward reads; the
+  /// buffers are reused across calls.
   ///
   /// This is the TRAINING entry point: it uses the model's persistent member
   /// scratch, so it is single-threaded per model (the Db facade guarantees
   /// one trainer per model). Inference uses the const, scratch-taking
   /// SampleRange and PredictDistribution, whose values are bit-identical to
   /// slicing this function's logits.
-  void Forward(const IntMatrix& codes, const Matrix& context, Matrix* logits,
-               bool for_backward = true);
+  void Forward(const IntMatrix& codes, const Matrix& context, Matrix* logits);
 
-  /// Mean (over batch) of the summed per-attribute cross-entropies for
-  /// attributes in [first_attr, num_attrs). Writes the matching logits
-  /// gradient into `dlogits`.
-  float NllLoss(const Matrix& logits, const IntMatrix& targets,
-                size_t first_attr, Matrix* dlogits) const;
-
-  /// Loss-only variant (no gradient) used for test-set evaluation.
-  float NllLossOnly(const Matrix& logits, const IntMatrix& targets,
-                    size_t first_attr) const;
-
-  /// Weighted variant: `weights` is [batch x num_attrs] with non-negative
-  /// per-cell loss weights (0 masks a cell out, e.g. unobserved tuple
-  /// factors). Each attribute's loss is normalized by its total weight.
-  /// Pass dlogits == nullptr for evaluation only.
+  /// The training and evaluation loss: the sum over attributes in
+  /// [first_attr, num_attrs) of each attribute's weighted cross-entropy.
+  /// `weights` is [batch x num_attrs] with non-negative per-cell loss
+  /// weights (0 masks a cell out, e.g. an unobserved tuple factor; all ones
+  /// make each term the plain per-row mean). Each attribute's loss is
+  /// normalized by its total weight. Writes the matching logits gradient
+  /// into `dlogits`; pass nullptr for evaluation only.
   float NllLossWeighted(const Matrix& logits, const IntMatrix& targets,
                         size_t first_attr, const Matrix& weights,
                         Matrix* dlogits) const;
-
-  /// Loss of a single attribute (mean over batch); used for per-attribute
-  /// diagnostics. No gradient.
-  float AttrNll(const Matrix& logits, const IntMatrix& targets,
-                size_t attr) const;
 
   /// Backpropagates from `dlogits` (accumulating parameter gradients).
   /// If the model is conditional, `*dcontext` receives the context gradient
@@ -139,9 +125,6 @@ class MadeModel {
   void FinalizeForInference();
 
   void CollectParams(std::vector<Param*>* params);
-
-  /// Number of scalar parameters (for reporting / Fig 11 context).
-  size_t NumParameters();
 
  private:
   Matrix BuildInputMask() const;

@@ -196,11 +196,6 @@ bool ShouldPackTransB(size_t m, size_t k, size_t n) {
 
 }  // namespace
 
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
-  thread_local Matrix pack_scratch;
-  MatMulTransB(a, b, out, &pack_scratch);
-}
-
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
                   Matrix* pack_scratch) {
   assert(a.cols() == b.cols());
@@ -213,7 +208,7 @@ void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
     out->Fill(0.0f);
     return;
   }
-  if (pack_scratch != nullptr && ShouldPackTransB(m, k, n)) {
+  if (ShouldPackTransB(m, k, n)) {
     TransposeInto(b, pack_scratch);
     const auto fn = Kernels().matmul_rows;
     if (m * n * k < kMinParallelFlops) {

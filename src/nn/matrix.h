@@ -203,9 +203,8 @@ void SoftmaxPanel(const SoftmaxBlock& block, size_t r0, size_t r1);
 /// accumulate in different orders, so which one runs is a pure function of
 /// the problem shape — results stay deterministic, but changing the
 /// threshold is a numerics change for training (re-baseline the benches).
-/// The 3-arg overload uses a thread-local pack buffer; hot callers (layer
-/// backward passes) pass their own persistent `pack_scratch` instead.
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
+/// `pack_scratch` holds the packed tile; callers keep one per call site
+/// (a layer's backward pass owns a persistent one) so it is reused.
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
                   Matrix* pack_scratch);
 

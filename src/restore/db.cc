@@ -144,22 +144,7 @@ uint64_t EngineConfigFingerprint(const EngineConfig& config) {
   // manifest persists per-target path selections, which are that strategy's
   // output). Cache settings do not change what is persisted and stay out.
   BinaryWriter w;
-  const PathModelConfig& m = config.model;
-  w.I32(m.max_bins);
-  w.I32(m.tf_cap);
-  w.U64(m.embed_dim);
-  w.U64(m.hidden_dim);
-  w.U64(m.num_layers);
-  w.Bool(m.use_ssar);
-  w.U64(m.phi_dim);
-  w.U64(m.context_dim);
-  w.U64(m.max_children);
-  w.U64(m.epochs);
-  w.U64(m.batch_size);
-  w.F32(m.learning_rate);
-  w.U64(m.min_train_steps);
-  w.F64(m.test_fraction);
-  w.U64(m.max_train_rows);
+  WritePathModelConfig(config.model, &w);
   w.U64(config.max_path_len);
   w.U64(config.max_candidates);
   w.U64(static_cast<uint64_t>(config.selection));
@@ -432,44 +417,46 @@ Result<std::shared_ptr<const PathModel>> Db::ModelForPath(
                             ? ctx->deadline()
                             : std::chrono::steady_clock::time_point::max();
   Status s = entry->latch.RunOnceWithDeadline([&]() -> Status {
-    if (FaultInjection::Enabled()) {
-      Status fault = FaultInjection::Fire("train.path");
-      if (!fault.ok()) {
-        RecordTrainingResult(key, fault);
-        return fault;
-      }
-    }
     // First touch trains on the NEWEST snapshot, not the caller's pin: the
     // run defines this generation for every session, so it uses the freshest
     // data and records the staleness baseline it was trained against.
-    const std::shared_ptr<const EpochPin> newest = PinnedEpoch(nullptr);
-    const Database& snapshot = *newest->data;
-    PathModelConfig cfg = config_.model;
-    cfg.seed = GenerationSeed(key, entry->generation);
-    Result<std::unique_ptr<PathModel>> trained =
-        PathModel::Train(snapshot, annotation_, path, cfg);
-    if (!trained.ok()) {
-      RecordTrainingResult(key, trained.status());
-      return trained.status();
-    }
-    RecordTrainingResult(key, Status::OK());
-    entry->model =
-        std::shared_ptr<const PathModel>(std::move(trained).value());
-    entry->ingest_mark = newest->IngestMark(path);
-    entry->rows_at_train = TotalPathRows(snapshot, path);
-    // Drift reference: bounded per-column summaries of the snapshot this
-    // generation was trained on, taken while the training data is already
-    // hot in cache. Scoring happens only in the refresher/Freshness paths,
-    // so the frozen query path stays bit-identical.
-    entry->drift_ref = SummarizeTables(snapshot, path);
-    entry->train_seconds = entry->model->train_seconds();
-    models_trained_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    total_train_seconds_ += entry->train_seconds;
+    RESTORE_RETURN_IF_ERROR(TrainGeneration(key, *PinnedEpoch(nullptr),
+                                            "train.path", entry.get()));
+    CountTrained(*entry);
     return Status::OK();
   }, deadline);
   if (!s.ok()) return s;
   return entry->model;
+}
+
+Status Db::TrainGeneration(const std::string& key, const EpochPin& pin,
+                           const char* fault_point, ModelEntry* entry) {
+  Status fault = Status::OK();
+  if (FaultInjection::Enabled()) fault = FaultInjection::Fire(fault_point);
+  const Database& snapshot = *pin.data;
+  PathModelConfig cfg = config_.model;
+  cfg.seed = GenerationSeed(key, entry->generation);
+  Result<std::unique_ptr<PathModel>> trained =
+      fault.ok() ? PathModel::Train(snapshot, annotation_, entry->path, cfg)
+                 : Result<std::unique_ptr<PathModel>>(fault);
+  RecordTrainingResult(key, trained.status());
+  if (!trained.ok()) return trained.status();
+  entry->model = std::shared_ptr<const PathModel>(std::move(trained).value());
+  entry->ingest_mark = pin.IngestMark(entry->path);
+  entry->rows_at_train = TotalPathRows(snapshot, entry->path);
+  // Drift reference: bounded per-column summaries of the snapshot this
+  // generation was trained on, taken while the training data is already
+  // hot in cache. Scoring happens only in the refresher/Freshness paths,
+  // so the frozen query path stays bit-identical.
+  entry->drift_ref = SummarizeTables(snapshot, entry->path);
+  entry->train_seconds = entry->model->train_seconds();
+  return Status::OK();
+}
+
+void Db::CountTrained(const ModelEntry& entry) {
+  models_trained_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  total_train_seconds_ += entry.train_seconds;
 }
 
 double Db::total_train_seconds() const {
@@ -1207,44 +1194,25 @@ Status Db::RefreshModelNow(const std::string& key) {
     std::atomic<bool>& flag;
     ~RefreshingGuard() { flag.store(false, std::memory_order_release); }
   } guard{entry->refreshing};
-  const Database& snapshot = *pin->data;
-  const uint64_t next_gen = entry->generation + 1;
-  PathModelConfig cfg = config_.model;
-  cfg.seed = GenerationSeed(key, next_gen);
-  Status fault = Status::OK();
-  if (FaultInjection::Enabled()) fault = FaultInjection::Fire("refresh.train");
-  Result<std::unique_ptr<PathModel>> trained =
-      fault.ok()
-          ? PathModel::Train(snapshot, annotation_, entry->path, cfg)
-          : Result<std::unique_ptr<PathModel>>(fault);
+  auto fresh = std::make_shared<ModelEntry>();
+  fresh->path = entry->path;
+  fresh->generation = entry->generation + 1;
+  const Status trained =
+      TrainGeneration(key, *pin, "refresh.train", fresh.get());
   if (!trained.ok()) {
     refresh_failures_.fetch_add(1, std::memory_order_relaxed);
     refresh_failure_streak_.fetch_add(1, std::memory_order_relaxed);
-    RecordTrainingResult(key, trained.status());
-    return trained.status();  // previous generation keeps serving
+    return trained;  // previous generation keeps serving
   }
   refresh_failure_streak_.store(0, std::memory_order_relaxed);
-  RecordTrainingResult(key, Status::OK());
   // Between training and the publish; a failure drops the trained model.
   RESTORE_FAULT_POINT("refresh.publish");
-  auto fresh = std::make_shared<ModelEntry>();
-  fresh->model = std::shared_ptr<const PathModel>(std::move(trained).value());
-  fresh->path = entry->path;
-  fresh->generation = next_gen;
-  fresh->ingest_mark = pin->IngestMark(entry->path);
-  fresh->rows_at_train = TotalPathRows(snapshot, entry->path);
-  fresh->drift_ref = SummarizeTables(snapshot, entry->path);
-  fresh->train_seconds = fresh->model->train_seconds();
   fresh->latch.SetDone(Status::OK());
   // Superseded while we trained (another swap landed first): drop ours.
   if (!PublishHead(key, entry, fresh)) return Status::OK();
   models_refreshed_.fetch_add(1, std::memory_order_relaxed);
   generations_retired_.fetch_add(1, std::memory_order_relaxed);
-  models_trained_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    total_train_seconds_ += fresh->train_seconds;
-  }
+  CountTrained(*fresh);
   return Status::OK();
 }
 

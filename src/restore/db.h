@@ -35,10 +35,10 @@
 
 namespace restore {
 
-/// Engine-level configuration.
-/// If you add a field that changes what models are trained or how, include
-/// it in EngineConfigFingerprint — the fingerprint guards persisted models
-/// against being loaded under a different configuration.
+/// Engine-level configuration. EngineConfigFingerprint, which guards
+/// persisted models against being loaded under a different configuration,
+/// hashes `model` through WritePathModelConfig, the writer PathModel::Save
+/// persists it with, followed by the engine fields that shape training.
 struct EngineConfig {
   PathModelConfig model;
   SelectionStrategy selection = SelectionStrategy::kBestTestLoss;
@@ -608,6 +608,18 @@ class Db : public std::enable_shared_from_this<Db> {
   /// at all counts when the threshold is 0.
   bool DueForRefresh(const EpochPin& pin, const ModelEntry& entry,
                      bool any_staleness_when_unset) const;
+
+  /// Trains generation `entry->generation` of `key`'s path (`entry->path`)
+  /// on `pin`'s snapshot and fills `entry`'s model and its training-time
+  /// baselines: ingest mark, path rows, drift reference and train time.
+  /// The fault point `fault_point` fires first; the outcome, injected or
+  /// not, goes to the path's circuit breaker. First-touch training and
+  /// RefreshModelNow both build their generation here.
+  Status TrainGeneration(const std::string& key, const EpochPin& pin,
+                         const char* fault_point, ModelEntry* entry);
+  /// Counts one trained generation into models_trained and
+  /// total_train_seconds (a refresh only once it is published).
+  void CountTrained(const ModelEntry& entry);
 
   /// Retrains `key`'s current head on the current snapshot and hot-swaps
   /// the new generation in. No-op (OK) when the path has no trained head or

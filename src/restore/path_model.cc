@@ -494,8 +494,7 @@ Result<std::vector<ChildBatch>> PathModel::BuildChildBatches(
   return out;
 }
 
-Status PathModel::RunTraining() {
-  Timer timer;
+void PathModel::BuildNetworks(Rng& rng) {
   MadeConfig made_config;
   made_config.vocab_sizes.reserve(attrs_.size());
   for (const auto& a : attrs_) {
@@ -505,7 +504,7 @@ Status PathModel::RunTraining() {
   made_config.hidden_dim = config_.hidden_dim;
   made_config.num_layers = config_.num_layers;
   made_config.context_dim = ssar_enabled_ ? config_.context_dim : 0;
-  made_ = std::make_unique<MadeModel>(made_config, rng_);
+  made_ = std::make_unique<MadeModel>(made_config, rng);
 
   if (ssar_enabled_) {
     std::vector<DeepSetsEncoder::TableSpec> specs;
@@ -513,8 +512,13 @@ Status PathModel::RunTraining() {
       specs.push_back({enc.VocabSizes()});
     }
     deep_sets_ = std::make_unique<DeepSetsEncoder>(
-        specs, config_.embed_dim, config_.phi_dim, config_.context_dim, rng_);
+        specs, config_.embed_dim, config_.phi_dim, config_.context_dim, rng);
   }
+}
+
+Status PathModel::RunTraining() {
+  Timer timer;
+  BuildNetworks(rng_);
 
   std::vector<Param*> params;
   made_->CollectParams(&params);
@@ -938,7 +942,43 @@ Status LoadParams(BinaryReader* r, const std::vector<Param*>& params,
   return Status::OK();
 }
 
+void ReadPathModelConfig(BinaryReader* r, PathModelConfig* config) {
+  config->max_bins = r->I32();
+  config->tf_cap = r->I32();
+  config->embed_dim = static_cast<size_t>(r->U64());
+  config->hidden_dim = static_cast<size_t>(r->U64());
+  config->num_layers = static_cast<size_t>(r->U64());
+  config->use_ssar = r->Bool();
+  config->phi_dim = static_cast<size_t>(r->U64());
+  config->context_dim = static_cast<size_t>(r->U64());
+  config->max_children = static_cast<size_t>(r->U64());
+  config->epochs = static_cast<size_t>(r->U64());
+  config->batch_size = static_cast<size_t>(r->U64());
+  config->learning_rate = r->F32();
+  config->min_train_steps = static_cast<size_t>(r->U64());
+  config->test_fraction = r->F64();
+  config->max_train_rows = static_cast<size_t>(r->U64());
+}
+
 }  // namespace
+
+void WritePathModelConfig(const PathModelConfig& config, BinaryWriter* w) {
+  w->I32(config.max_bins);
+  w->I32(config.tf_cap);
+  w->U64(config.embed_dim);
+  w->U64(config.hidden_dim);
+  w->U64(config.num_layers);
+  w->Bool(config.use_ssar);
+  w->U64(config.phi_dim);
+  w->U64(config.context_dim);
+  w->U64(config.max_children);
+  w->U64(config.epochs);
+  w->U64(config.batch_size);
+  w->F32(config.learning_rate);
+  w->U64(config.min_train_steps);
+  w->F64(config.test_fraction);
+  w->U64(config.max_train_rows);
+}
 
 void PathModel::PerturbParametersForTest(float stddev, uint64_t seed) {
   std::vector<Param*> params;
@@ -957,23 +997,7 @@ void PathModel::PerturbParametersForTest(float stddev, uint64_t seed) {
 
 void PathModel::Save(BinaryWriter* w) const {
   w->VecStr(path_);
-
-  // PathModelConfig (every field, fixed order).
-  w->I32(config_.max_bins);
-  w->I32(config_.tf_cap);
-  w->U64(config_.embed_dim);
-  w->U64(config_.hidden_dim);
-  w->U64(config_.num_layers);
-  w->Bool(config_.use_ssar);
-  w->U64(config_.phi_dim);
-  w->U64(config_.context_dim);
-  w->U64(config_.max_children);
-  w->U64(config_.epochs);
-  w->U64(config_.batch_size);
-  w->F32(config_.learning_rate);
-  w->U64(config_.min_train_steps);
-  w->F64(config_.test_fraction);
-  w->U64(config_.max_train_rows);
+  WritePathModelConfig(config_, w);
   w->U64(config_.seed);
 
   // Attribute layout + discretizer bins.
@@ -1032,21 +1056,7 @@ Result<std::unique_ptr<PathModel>> PathModel::Load(
   model->path_ = r->VecStr();
 
   PathModelConfig& cfg = model->config_;
-  cfg.max_bins = r->I32();
-  cfg.tf_cap = r->I32();
-  cfg.embed_dim = static_cast<size_t>(r->U64());
-  cfg.hidden_dim = static_cast<size_t>(r->U64());
-  cfg.num_layers = static_cast<size_t>(r->U64());
-  cfg.use_ssar = r->Bool();
-  cfg.phi_dim = static_cast<size_t>(r->U64());
-  cfg.context_dim = static_cast<size_t>(r->U64());
-  cfg.max_children = static_cast<size_t>(r->U64());
-  cfg.epochs = static_cast<size_t>(r->U64());
-  cfg.batch_size = static_cast<size_t>(r->U64());
-  cfg.learning_rate = r->F32();
-  cfg.min_train_steps = static_cast<size_t>(r->U64());
-  cfg.test_fraction = r->F64();
-  cfg.max_train_rows = static_cast<size_t>(r->U64());
+  ReadPathModelConfig(r, &cfg);
   cfg.seed = r->U64();
   model->rng_.Seed(cfg.seed);
 
@@ -1166,16 +1176,8 @@ Result<std::unique_ptr<PathModel>> PathModel::Load(
 
   // Reconstruct the networks (masks/shapes are pure functions of the config)
   // and overwrite their parameters with the saved values.
-  MadeConfig made_config;
-  for (const auto& a : model->attrs_) {
-    made_config.vocab_sizes.push_back(a.disc.vocab_size());
-  }
-  made_config.embed_dim = cfg.embed_dim;
-  made_config.hidden_dim = cfg.hidden_dim;
-  made_config.num_layers = cfg.num_layers;
-  made_config.context_dim = model->ssar_enabled_ ? cfg.context_dim : 0;
   Rng init_rng(cfg.seed);
-  model->made_ = std::make_unique<MadeModel>(made_config, init_rng);
+  model->BuildNetworks(init_rng);
   std::vector<Param*> made_params;
   model->made_->CollectParams(&made_params);
   RESTORE_RETURN_IF_ERROR(LoadParams(r, made_params, "MADE"));
@@ -1183,12 +1185,6 @@ Result<std::unique_ptr<PathModel>> PathModel::Load(
   size_t num_parameters = 0;
   for (Param* p : made_params) num_parameters += p->value.size();
   if (model->ssar_enabled_) {
-    std::vector<DeepSetsEncoder::TableSpec> specs;
-    for (const auto& enc : model->ssar_child_encoders_) {
-      specs.push_back({enc.VocabSizes()});
-    }
-    model->deep_sets_ = std::make_unique<DeepSetsEncoder>(
-        specs, cfg.embed_dim, cfg.phi_dim, cfg.context_dim, init_rng);
     std::vector<Param*> ds_params;
     model->deep_sets_->CollectParams(&ds_params);
     RESTORE_RETURN_IF_ERROR(LoadParams(r, ds_params, "deep-sets"));

@@ -53,6 +53,14 @@ struct PathModelConfig {
   uint64_t seed = 17;
 };
 
+/// Writes the 15 hyperparameters of `config` (every field but the seed) in
+/// their fixed persisted order. PathModel::Save writes them through this,
+/// and EngineConfigFingerprint hashes them through it, so a new field
+/// reaches both the model file and the fingerprint here; its reader is
+/// next to it in path_model.cc. Changing the order or a type strands every
+/// saved model directory.
+void WritePathModelConfig(const PathModelConfig& config, BinaryWriter* w);
+
 /// One attribute of the autoregressive ordering.
 struct PathAttr {
   std::string table;      // owning base table
@@ -235,6 +243,9 @@ class PathModel {
   Status BuildLayout(const Database& db, const SchemaAnnotation& annotation);
   Status BuildTrainingData(const Database& db);
   Status SetupSsar(const Database& db);
+  /// Constructs the MADE and, for SSAR, the deep-sets networks from the
+  /// layout and config, drawing their initial weights from `rng`.
+  void BuildNetworks(Rng& rng);
   /// Builds the networks and runs the optimizer loop.
   Status RunTraining();
 

@@ -60,11 +60,6 @@ class EventLoop {
   Status Mod(int fd, uint32_t events, Handler* handler);
   void Del(int fd);
 
-  /// True when called from the loop's dispatch thread.
-  bool InLoopThread() const {
-    return std::this_thread::get_id() == thread_.get_id();
-  }
-
  private:
   void Run();
   void Wake();

@@ -80,12 +80,12 @@ HttpRequestParser::State HttpRequestParser::Advance() {
   if (!head_done_) {
     const size_t head_end = buffer_.find("\r\n\r\n");
     if (head_end == std::string::npos) {
-      if (buffer_.size() > max_head_bytes_) {
+      if (buffer_.size() > kMaxHeadBytes) {
         return Fail(431, "request head too large");
       }
       return state_;
     }
-    if (head_end > max_head_bytes_) {
+    if (head_end > kMaxHeadBytes) {
       return Fail(431, "request head too large");
     }
     if (ParseHead(head_end) == State::kError) return state_;
@@ -149,7 +149,7 @@ HttpRequestParser::State HttpRequestParser::ParseHead(size_t head_end) {
     if (end == cl->c_str() || *end != '\0') {
       return Fail(400, "malformed Content-Length");
     }
-    if (v > max_body_bytes_) return Fail(413, "request body too large");
+    if (v > kMaxBodyBytes) return Fail(413, "request body too large");
     body_remaining_ = static_cast<size_t>(v);
   }
   return state_;

@@ -47,9 +47,10 @@ class HttpRequestParser {
     kError,      // malformed or over limit; error_status()/error_reason()
   };
 
-  explicit HttpRequestParser(size_t max_head_bytes = 16 * 1024,
-                             size_t max_body_bytes = 1 << 20)
-      : max_head_bytes_(max_head_bytes), max_body_bytes_(max_body_bytes) {}
+  /// A head past kMaxHeadBytes fails with 431, a declared body past
+  /// kMaxBodyBytes with 413.
+  static constexpr size_t kMaxHeadBytes = 16 * 1024;
+  static constexpr size_t kMaxBodyBytes = 1 << 20;
 
   /// Appends `n` bytes and advances the parse. Idempotent at terminal
   /// states (kComplete/kError stay put until Reset).
@@ -72,8 +73,6 @@ class HttpRequestParser {
   State Advance();
   State ParseHead(size_t head_end);
 
-  size_t max_head_bytes_;
-  size_t max_body_bytes_;
   std::string buffer_;
   HttpRequest request_;
   State state_ = State::kNeedMore;

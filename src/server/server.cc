@@ -34,6 +34,9 @@ struct HttpServer::LoopConnections {
 
 namespace {
 
+/// listen(2) backlog of the acceptor socket.
+constexpr int kListenBacklog = 511;
+
 int HttpStatusFor(const Status& status) {
   switch (status.code()) {
     case StatusCode::kCancelled:
@@ -269,9 +272,7 @@ struct HttpServer::Connection
       : server(server),
         loop(loop),
         loop_index(loop_index),
-        fd(fd),
-        parser(server->config().max_request_head_bytes,
-               server->config().max_request_body_bytes) {}
+        fd(fd) {}
 
   // All methods below run on the connection's loop thread.
 
@@ -569,7 +570,7 @@ Status HttpServer::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string err = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -961,10 +962,9 @@ void HttpServer::SubmitQuery(std::shared_ptr<Connection> conn,
   // shared holder (released by Respond right after execution).
   auto held = std::make_shared<Slots>(std::move(slots));
   const bool keep_alive = conn->current_keep_alive;
-  const size_t batch_rows = config_.response_batch_rows;
 
   workers_->Submit([this, conn, tenant, sql = std::move(sql), held,
-                    deadline, keep_alive, batch_rows] {
+                    deadline, keep_alive] {
     if (!AdmitQueued(conn, tenant.get(), held.get(), keep_alive)) return;
     std::function<void()> hook;
     {
@@ -976,7 +976,6 @@ void HttpServer::SubmitQuery(std::shared_ptr<Connection> conn,
     QueryOptions options;
     options.cancel = conn->inflight_cancel;
     options.deadline = deadline;
-    options.batch_rows = batch_rows;
 
     Session session = tenant->db()->CreateSession();
     Result<ResultSet> result = session.Execute(sql, options);

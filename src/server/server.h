@@ -48,7 +48,6 @@ struct ServerConfig {
   /// HttpServer::port() after Start), which tests and benches use.
   std::string bind_address = "127.0.0.1";
   uint16_t port = 8080;
-  int listen_backlog = 511;
 
   /// Event (epoll) threads; connections are assigned round-robin. The
   /// acceptor shares the first loop.
@@ -73,13 +72,6 @@ struct ServerConfig {
   /// Bound on open connections; beyond it, accepted sockets are closed
   /// immediately (counted in stats().connections_shed).
   size_t max_connections = 4096;
-
-  /// Per-request limits fed to the HTTP parser.
-  size_t max_request_head_bytes = 16 * 1024;
-  size_t max_request_body_bytes = 1 << 20;
-
-  /// Row-batch size of streamed query responses (one HTTP chunk per batch).
-  size_t response_batch_rows = 256;
 };
 
 /// Monotonic server-level counters, all readable while serving.

@@ -188,11 +188,6 @@ Chi2Result ChiSquaredTwoSample(const std::vector<double>& a,
   return out;
 }
 
-Chi2Result Chi2FromSummaries(const ColumnSummary& ref,
-                             const ColumnSummary& cur, double min_expected) {
-  return ChiSquaredTwoSample(ref.counts, cur.counts, min_expected);
-}
-
 double Psi(const std::vector<double>& ref, const std::vector<double>& cur) {
   const size_t buckets = std::min(ref.size(), cur.size());
   double nr = 0.0, nc = 0.0;

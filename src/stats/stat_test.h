@@ -69,11 +69,6 @@ Chi2Result ChiSquaredTwoSample(const std::vector<double>& a,
                                const std::vector<double>& b,
                                double min_expected = 5.0);
 
-/// χ² over two aligned summaries' buckets.
-Chi2Result Chi2FromSummaries(const ColumnSummary& ref,
-                             const ColumnSummary& cur,
-                             double min_expected = 5.0);
-
 /// Population Stability Index between two parallel count vectors:
 /// sum_i (p_i - q_i) * ln(p_i / q_i) over proportions floored at a small
 /// epsilon (so empty buckets contribute finitely). Symmetric, >= 0,

@@ -90,7 +90,6 @@ class Column {
   Value GetValue(size_t row) const;
 
   void SetInt64(size_t row, int64_t v) { ints_[row] = v; }
-  void SetDouble(size_t row, double v) { doubles_[row] = v; }
 
   // ---- Bulk access ------------------------------------------------------
   const std::vector<int64_t>& ints() const { return ints_; }

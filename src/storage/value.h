@@ -1,11 +1,12 @@
 #ifndef RESTORE_STORAGE_VALUE_H_
 #define RESTORE_STORAGE_VALUE_H_
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <variant>
+#include <utility>
 
 namespace restore {
 
@@ -35,28 +36,47 @@ inline bool IsNullDouble(double v) { return std::isnan(v); }
 /// A dynamically-typed cell value used at API boundaries (row appends,
 /// literals in SQL predicates). Columnar storage itself never materializes
 /// Value objects per cell.
+///
+/// A tagged struct: `kind_` says which member holds the value, and the
+/// others stay at their defaults. Every member is always initialized, so
+/// copies read no indeterminate bytes.
 class Value {
  public:
-  Value() : data_(std::monostate{}) {}
+  Value() = default;
 
   static Value Null() { return Value(); }
-  static Value Int64(int64_t v) { return Value(Data(v)); }
-  static Value Double(double v) { return Value(Data(v)); }
-  static Value Categorical(std::string v) { return Value(Data(std::move(v))); }
-
-  bool is_null() const {
-    return std::holds_alternative<std::monostate>(data_);
+  static Value Int64(int64_t v) {
+    Value out(Kind::kInt64);
+    out.int64_ = v;
+    return out;
   }
-  bool is_int64() const { return std::holds_alternative<int64_t>(data_); }
-  bool is_double() const { return std::holds_alternative<double>(data_); }
-  bool is_string() const {
-    return std::holds_alternative<std::string>(data_);
+  static Value Double(double v) {
+    Value out(Kind::kDouble);
+    out.double_ = v;
+    return out;
+  }
+  static Value Categorical(std::string v) {
+    Value out(Kind::kString);
+    out.string_ = std::move(v);
+    return out;
   }
 
-  int64_t int64() const { return std::get<int64_t>(data_); }
-  double double_value() const { return std::get<double>(data_); }
+  bool is_null() const { return kind_ == Kind::kNull; }
+  bool is_int64() const { return kind_ == Kind::kInt64; }
+  bool is_double() const { return kind_ == Kind::kDouble; }
+  bool is_string() const { return kind_ == Kind::kString; }
+
+  int64_t int64() const {
+    assert(is_int64());
+    return int64_;
+  }
+  double double_value() const {
+    assert(is_double());
+    return double_;
+  }
   const std::string& string_value() const {
-    return std::get<std::string>(data_);
+    assert(is_string());
+    return string_;
   }
 
   /// Numeric view: int64 and double cells as double (used by predicates and
@@ -66,14 +86,32 @@ class Value {
     return double_value();
   }
 
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  /// Same kind and equal held member (a NaN double is unequal to itself).
+  bool operator==(const Value& other) const {
+    if (kind_ != other.kind_) return false;
+    switch (kind_) {
+      case Kind::kNull:
+        return true;
+      case Kind::kInt64:
+        return int64_ == other.int64_;
+      case Kind::kDouble:
+        return double_ == other.double_;
+      case Kind::kString:
+        return string_ == other.string_;
+    }
+    return false;
+  }
 
   std::string ToString() const;
 
  private:
-  using Data = std::variant<std::monostate, int64_t, double, std::string>;
-  explicit Value(Data data) : data_(std::move(data)) {}
-  Data data_;
+  enum class Kind : uint8_t { kNull, kInt64, kDouble, kString };
+  explicit Value(Kind kind) : kind_(kind) {}
+
+  Kind kind_ = Kind::kNull;
+  int64_t int64_ = 0;
+  double double_ = 0.0;
+  std::string string_;
 };
 
 }  // namespace restore

@@ -374,30 +374,25 @@ TEST(ExecControlTest, CancelledRunLeaksNoScratchArenas) {
 }
 
 TEST(InferenceScratchPoolTest, MaxIdleCapDropsExcessArenas) {
-  InferenceScratchPool pool(/*max_idle=*/2);
-  EXPECT_EQ(pool.max_idle(), 2u);
-  {
-    InferenceScratchPool::Lease a = pool.Acquire();
-    InferenceScratchPool::Lease b = pool.Acquire();
-    InferenceScratchPool::Lease c = pool.Acquire();
-    EXPECT_EQ(pool.total_leases(), 3u);
-  }
-  // Three returned, but only two retained; the third was freed.
-  EXPECT_EQ(pool.idle(), 2u);
-  EXPECT_EQ(pool.dropped(), 1u);
-
-  // Tightening the cap frees surplus idle arenas immediately.
-  pool.set_max_idle(1);
-  EXPECT_EQ(pool.idle(), 1u);
-
-  // An unbounded pool (0) retains everything.
-  InferenceScratchPool unbounded(/*max_idle=*/0);
+  InferenceScratchPool pool;
+  const size_t cap = InferenceScratchPool::kMaxIdle;
   {
     std::vector<InferenceScratchPool::Lease> leases;
-    for (int i = 0; i < 16; ++i) leases.push_back(unbounded.Acquire());
+    for (size_t i = 0; i < cap + 3; ++i) leases.push_back(pool.Acquire());
+    EXPECT_EQ(pool.total_leases(), cap + 3);
   }
-  EXPECT_EQ(unbounded.idle(), 16u);
-  EXPECT_EQ(unbounded.dropped(), 0u);
+  // Every lease returned, but only the cap retained; the rest were freed.
+  EXPECT_EQ(pool.idle(), cap);
+  EXPECT_EQ(pool.dropped(), 3u);
+
+  // Leases within the cap recycle pooled arenas and drop nothing.
+  {
+    std::vector<InferenceScratchPool::Lease> leases;
+    for (size_t i = 0; i < cap; ++i) leases.push_back(pool.Acquire());
+    EXPECT_EQ(pool.idle(), 0u);
+  }
+  EXPECT_EQ(pool.idle(), cap);
+  EXPECT_EQ(pool.dropped(), 3u);
 }
 
 TEST(FutureTest, WaitForTimesOutWithoutClaimingTheTask) {

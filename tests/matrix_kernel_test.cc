@@ -131,8 +131,8 @@ TEST(MatrixKernelConformance, MatMulTransBMatchesNaive) {
         if (m * k * n > 30000 && (m + k + n) % 3 != 0) continue;
         Matrix a = RandomMatrix(m, k, rng);
         Matrix b = RandomMatrix(n, k, rng);
-        Matrix got, want;
-        MatMulTransB(a, b, &got);
+        Matrix got, want, pack;
+        MatMulTransB(a, b, &got, &pack);
         NaiveMatMulTransB(a, b, &want);
         ExpectNear(got, want, "MatMulTransB", m, k, n);
       }
@@ -459,27 +459,29 @@ TEST(MatrixKernelConformance, MatMulFusedMatchesSeparatePassesBitExact) {
   }
 }
 
-// Packed-B MatMulTransB: the 3-arg overload (thread-local pack buffer) and
-// the caller-scratch overload must agree bitwise, and shapes on both sides
-// of the pack threshold must match naive within tolerance (covered above);
-// here we pin pack-vs-scratch equivalence.
-TEST(MatrixKernelConformance, PackedTransBScratchOverloadMatches) {
+// Packed-B MatMulTransB: a pack tile reused across shapes (as a layer's
+// backward pass reuses its own for the short tail batch) must give the bits
+// of a fresh one, and shapes on both sides of the pack threshold must match
+// naive within tolerance.
+TEST(MatrixKernelConformance, PackedTransBReusedScratchMatchesFresh) {
   Rng rng(707);
   const struct { size_t m, k, n; } shapes[] = {
+      {129, 65, 77},
       {2, 4, 3},    // below the pack threshold: dot-form path
       {16, 8, 4},   // exactly at the threshold
       {64, 40, 64}, // the training backward shape
-      {129, 65, 77}};
+      {20, 9, 5}};
+  Matrix reused;
   for (const auto& sh : shapes) {
     Matrix a = RandomMatrix(sh.m, sh.k, rng);
     Matrix b = RandomMatrix(sh.n, sh.k, rng);
-    Matrix got_tl, got_scratch, pack;
-    MatMulTransB(a, b, &got_tl);
-    MatMulTransB(a, b, &got_scratch, &pack);
-    ASSERT_EQ(got_tl.rows(), got_scratch.rows());
-    for (size_t i = 0; i < got_tl.size(); ++i) {
-      ASSERT_EQ(got_tl.data()[i], got_scratch.data()[i])
-          << "pack-scratch mismatch at " << i;
+    Matrix got_fresh, got_scratch, fresh;
+    MatMulTransB(a, b, &got_fresh, &fresh);
+    MatMulTransB(a, b, &got_scratch, &reused);
+    ASSERT_EQ(got_fresh.rows(), got_scratch.rows());
+    for (size_t i = 0; i < got_fresh.size(); ++i) {
+      ASSERT_EQ(got_fresh.data()[i], got_scratch.data()[i])
+          << "reused pack tile mismatch at " << i;
     }
     Matrix want;
     NaiveMatMulTransB(a, b, &want);
@@ -501,8 +503,8 @@ TEST(MatrixKernelConformance, LargeShapesCrossParallelThreshold) {
     ExpectNear(got, want, "MatMul(parallel)", s.m, s.k, s.n);
 
     Matrix bt = RandomMatrix(s.n, s.k, rng);
-    Matrix got_t, want_t;
-    MatMulTransB(a, bt, &got_t);
+    Matrix got_t, want_t, pack;
+    MatMulTransB(a, bt, &got_t, &pack);
     NaiveMatMulTransB(a, bt, &want_t);
     ExpectNear(got_t, want_t, "MatMulTransB(parallel)", s.m, s.k, s.n);
   }

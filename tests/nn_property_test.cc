@@ -37,6 +37,7 @@ TEST_P(MadeLearnsDependency, ConditionalConcentratesOnTarget) {
   AdamOptimizer adam(params, AdamOptions{.learning_rate = 5e-3f});
 
   IntMatrix batch(64, 2);
+  const Matrix ones(64, 2, 1.0f);
   for (int step = 0; step < 400; ++step) {
     for (size_t r = 0; r < 64; ++r) {
       const int32_t a =
@@ -47,7 +48,7 @@ TEST_P(MadeLearnsDependency, ConditionalConcentratesOnTarget) {
     Matrix logits;
     made.Forward(batch, Matrix(), &logits);
     Matrix dlogits;
-    made.NllLoss(logits, batch, 0, &dlogits);
+    made.NllLossWeighted(logits, batch, 0, ones, &dlogits);
     made.Backward(dlogits, nullptr);
     adam.Step();
   }
@@ -89,6 +90,7 @@ TEST(MadeMarginals, FirstAttributeLearnsMarginal) {
   AdamOptimizer adam(params, AdamOptions{.learning_rate = 5e-3f});
   // a ~ {60%, 30%, 10%}.
   IntMatrix batch(100, 2);
+  const Matrix ones(100, 2, 1.0f);
   for (int step = 0; step < 300; ++step) {
     for (size_t r = 0; r < 100; ++r) {
       const double u = rng.NextDouble();
@@ -98,7 +100,7 @@ TEST(MadeMarginals, FirstAttributeLearnsMarginal) {
     Matrix logits;
     made.Forward(batch, Matrix(), &logits);
     Matrix dlogits;
-    made.NllLoss(logits, batch, 0, &dlogits);
+    made.NllLossWeighted(logits, batch, 0, ones, &dlogits);
     made.Backward(dlogits, nullptr);
     adam.Step();
   }

@@ -54,8 +54,8 @@ TEST(MatrixTest, MatMulTransBMatchesMatMul) {
   }
   Matrix expected;
   MatMul(a, b_t, &expected);
-  Matrix got;
-  MatMulTransB(a, b, &got);
+  Matrix got, pack;
+  MatMulTransB(a, b, &got, &pack);
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(expected.data()[i], got.data()[i], 1e-5);
   }
@@ -244,6 +244,21 @@ TEST(MadeTest, FirstAttributeDependsOnlyOnContext) {
   }
 }
 
+// Loss weights of a [rows x 3] SmallMadeConfig batch for the gradient
+// checks: all ones, or the mix PathModel::BuildTrainingData produces — 0
+// for a NULL cell or an unobserved tuple factor, 1/multiplicity for the
+// tuple factor (here the last attribute) of a parent its children repeat.
+Matrix GradientCheckWeights(size_t rows, bool mixed) {
+  Matrix weights(rows, 3, 1.0f);
+  if (!mixed) return weights;
+  weights.at(1, 0) = 0.0f;
+  for (size_t r = 0; r < rows; ++r) {
+    weights.at(r, 2) =
+        r % 3 == 0 ? 0.0f : 1.0f / static_cast<float>(r % 3 + 1);
+  }
+  return weights;
+}
+
 TEST(MadeTest, GradientCheckOnNll) {
   Rng rng(7);
   MadeModel made(SmallMadeConfig(), rng);
@@ -253,35 +268,41 @@ TEST(MadeTest, GradientCheckOnNll) {
     codes.at(r, 1) = static_cast<int32_t>(rng.NextUint64(4));
     codes.at(r, 2) = static_cast<int32_t>(rng.NextUint64(2));
   }
-  Matrix logits;
-  made.Forward(codes, Matrix(), &logits);
-  Matrix dlogits;
-  made.NllLoss(logits, codes, 0, &dlogits);
-  made.Backward(dlogits, nullptr);
-
   std::vector<Param*> params;
   made.CollectParams(&params);
-  const double eps = 1e-2;
-  size_t checked = 0;
-  for (Param* p : params) {
-    for (size_t k = 0; k < p->value.size() && checked < 40; k += 7) {
-      const float orig = p->value.data()[k];
-      auto loss_at = [&](float v) {
-        p->value.data()[k] = v;
-        Matrix out;
-        made.Forward(codes, Matrix(), &out);
-        return static_cast<double>(made.NllLossOnly(out, codes, 0));
-      };
-      const double numeric = (loss_at(orig + static_cast<float>(eps)) -
-                              loss_at(orig - static_cast<float>(eps))) /
-                             (2 * eps);
-      p->value.data()[k] = orig;
-      EXPECT_NEAR(numeric, p->grad.data()[k], 5e-2)
-          << "param size " << p->value.size() << " elem " << k;
-      ++checked;
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed weights" : "all ones");
+    const Matrix weights = GradientCheckWeights(codes.rows(), mixed);
+    for (Param* p : params) p->ZeroGrad();
+    Matrix logits;
+    made.Forward(codes, Matrix(), &logits);
+    Matrix dlogits;
+    made.NllLossWeighted(logits, codes, 0, weights, &dlogits);
+    made.Backward(dlogits, nullptr);
+
+    const double eps = 1e-2;
+    size_t checked = 0;
+    for (Param* p : params) {
+      for (size_t k = 0; k < p->value.size() && checked < 40; k += 7) {
+        const float orig = p->value.data()[k];
+        auto loss_at = [&](float v) {
+          p->value.data()[k] = v;
+          Matrix out;
+          made.Forward(codes, Matrix(), &out);
+          return static_cast<double>(
+              made.NllLossWeighted(out, codes, 0, weights, nullptr));
+        };
+        const double numeric = (loss_at(orig + static_cast<float>(eps)) -
+                                loss_at(orig - static_cast<float>(eps))) /
+                               (2 * eps);
+        p->value.data()[k] = orig;
+        EXPECT_NEAR(numeric, p->grad.data()[k], 5e-2)
+            << "param size " << p->value.size() << " elem " << k;
+        ++checked;
+      }
     }
+    EXPECT_GT(checked, 20u);
   }
-  EXPECT_GT(checked, 20u);
 }
 
 TEST(MadeTest, ContextGradientCheck) {
@@ -292,27 +313,32 @@ TEST(MadeTest, ContextGradientCheck) {
   for (size_t i = 0; i < context.size(); ++i) {
     context.data()[i] = static_cast<float>(rng.NextGaussian());
   }
-  Matrix logits;
-  made.Forward(codes, context, &logits);
-  Matrix dlogits;
-  made.NllLoss(logits, codes, 0, &dlogits);
-  Matrix dcontext;
-  made.Backward(dlogits, &dcontext);
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed weights" : "all ones");
+    const Matrix weights = GradientCheckWeights(codes.rows(), mixed);
+    Matrix logits;
+    made.Forward(codes, context, &logits);
+    Matrix dlogits;
+    made.NllLossWeighted(logits, codes, 0, weights, &dlogits);
+    Matrix dcontext;
+    made.Backward(dlogits, &dcontext);
 
-  const double eps = 1e-2;
-  for (size_t k = 0; k < 10; ++k) {
-    const float orig = context.data()[k];
-    auto loss_at = [&](float v) {
-      context.data()[k] = v;
-      Matrix out;
-      made.Forward(codes, context, &out);
-      return static_cast<double>(made.NllLossOnly(out, codes, 0));
-    };
-    const double numeric = (loss_at(orig + static_cast<float>(eps)) -
-                            loss_at(orig - static_cast<float>(eps))) /
-                           (2 * eps);
-    context.data()[k] = orig;
-    EXPECT_NEAR(numeric, dcontext.data()[k], 5e-2);
+    const double eps = 1e-2;
+    for (size_t k = 0; k < 10; ++k) {
+      const float orig = context.data()[k];
+      auto loss_at = [&](float v) {
+        context.data()[k] = v;
+        Matrix out;
+        made.Forward(codes, context, &out);
+        return static_cast<double>(
+            made.NllLossWeighted(out, codes, 0, weights, nullptr));
+      };
+      const double numeric = (loss_at(orig + static_cast<float>(eps)) -
+                              loss_at(orig - static_cast<float>(eps))) /
+                             (2 * eps);
+      context.data()[k] = orig;
+      EXPECT_NEAR(numeric, dcontext.data()[k], 5e-2);
+    }
   }
 }
 
@@ -333,6 +359,7 @@ TEST(MadeTest, LearnsDeterministicDependency) {
   AdamOptimizer adam(params, opts);
 
   IntMatrix batch(64, 2);
+  const Matrix ones(64, 2, 1.0f);
   for (int step = 0; step < 250; ++step) {
     for (size_t r = 0; r < 64; ++r) {
       const int32_t a = static_cast<int32_t>(rng.NextUint64(4));
@@ -342,7 +369,7 @@ TEST(MadeTest, LearnsDeterministicDependency) {
     Matrix logits;
     made.Forward(batch, Matrix(), &logits);
     Matrix dlogits;
-    made.NllLoss(logits, batch, 0, &dlogits);
+    made.NllLossWeighted(logits, batch, 0, ones, &dlogits);
     made.Backward(dlogits, nullptr);
     adam.Step();
   }
@@ -369,6 +396,7 @@ TEST(MadeTest, SampleRangeRespectsConditioning) {
   made.CollectParams(&params);
   AdamOptimizer adam(params, AdamOptions{.learning_rate = 5e-3f});
   IntMatrix batch(64, 2);
+  const Matrix ones(64, 2, 1.0f);
   for (int step = 0; step < 250; ++step) {
     for (size_t r = 0; r < 64; ++r) {
       const int32_t a = static_cast<int32_t>(rng.NextUint64(4));
@@ -378,7 +406,7 @@ TEST(MadeTest, SampleRangeRespectsConditioning) {
     Matrix logits;
     made.Forward(batch, Matrix(), &logits);
     Matrix dlogits;
-    made.NllLoss(logits, batch, 0, &dlogits);
+    made.NllLossWeighted(logits, batch, 0, ones, &dlogits);
     made.Backward(dlogits, nullptr);
     adam.Step();
   }
@@ -412,7 +440,7 @@ void ReferenceFullGemmSampleRange(MadeModel& made, IntMatrix* codes,
   Matrix logits;
   std::vector<double> u(batch);
   for (size_t a = first_attr; a < end_attr; ++a) {
-    made.Forward(*codes, context, &logits, /*for_backward=*/false);
+    made.Forward(*codes, context, &logits);
     const size_t begin = made.attr_offset(a);
     const size_t vocab = static_cast<size_t>(made.vocab_size(a));
     const bool record = record_attr >= 0 &&
@@ -572,7 +600,7 @@ TEST(MadeTest, SlicedSampleRangeBitIdenticalToFullGemmPath) {
           }
           const IntMatrix codes = RandomCodes(config, batch, rng);
           Matrix logits;
-          made.Forward(codes, context, &logits, /*for_backward=*/false);
+          made.Forward(codes, context, &logits);
           for (size_t attr = 0; attr < d; ++attr) {
             Matrix probs;
             made.PredictDistribution(codes, context, attr, &probs, &scratch);

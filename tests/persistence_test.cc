@@ -269,6 +269,26 @@ TEST(PersistenceTest, MismatchedEngineConfigIsRejectedAtOpen) {
   EXPECT_EQ(EngineConfigFingerprint(base), EngineConfigFingerprint(other));
 }
 
+// Saved manifests carry the fingerprint, and PathModel::Save writes the
+// model hyperparameters through the same writer it hashes. A round trip in
+// one binary cannot see a writer that reorders, drops or retypes a field;
+// these pinned values do, before it strands every saved model directory.
+TEST(PersistenceTest, EngineConfigFingerprintIsPinned) {
+  EXPECT_EQ(EngineConfigFingerprint(EngineConfig()), 0x5aaf5cdeced2da5eull);
+  // perfbench's and serve_housing's engine.
+  EngineConfig served;
+  served.model.epochs = 6;
+  served.model.hidden_dim = 24;
+  served.model.embed_dim = 4;
+  served.model.max_bins = 12;
+  served.model.min_train_steps = 150;
+  served.max_candidates = 2;
+  EXPECT_EQ(EngineConfigFingerprint(served), 0x985e9ca01dbdebe7ull);
+  EngineConfig ssar;
+  ssar.model.use_ssar = true;
+  EXPECT_EQ(EngineConfigFingerprint(ssar), 0x99ecc4185842d449ull);
+}
+
 TEST(PersistenceTest, CorruptedModelFileIsRejected) {
   Database incomplete = MakeIncompleteSynthetic(305);
   auto db = Db::Open(&incomplete, Annotation(), DbOptions().WithEngine(FastConfig()));

@@ -340,6 +340,28 @@ TEST(HttpServerTest, MalformedHttpAnswers400AndCloses) {
   EXPECT_TRUE(WaitFor([&] { return server.http->stats().bad_requests == 1; }));
 }
 
+TEST(HttpRequestParserTest, OversizedHeadAnswers431AndBodyAnswers413) {
+  using State = HttpRequestParser::State;
+  HttpRequestParser head;
+  const std::string big(HttpRequestParser::kMaxHeadBytes + 1, 'a');
+  EXPECT_EQ(head.Feed(big.data(), big.size()), State::kError);
+  EXPECT_EQ(head.error_status(), 431);
+
+  const auto with_length = [](size_t n) {
+    return "POST /v1/query HTTP/1.1\r\nContent-Length: " + std::to_string(n) +
+           "\r\n\r\n";
+  };
+  HttpRequestParser body;
+  const std::string over = with_length(HttpRequestParser::kMaxBodyBytes + 1);
+  EXPECT_EQ(body.Feed(over.data(), over.size()), State::kError);
+  EXPECT_EQ(body.error_status(), 413);
+
+  // A body of exactly the limit is accepted and awaits its bytes.
+  HttpRequestParser at_limit;
+  const std::string ok = with_length(HttpRequestParser::kMaxBodyBytes);
+  EXPECT_EQ(at_limit.Feed(ok.data(), ok.size()), State::kNeedMore);
+}
+
 TEST(HttpServerTest, ExpiredDeadlineAnswers504) {
   TestServer server;
   const uint64_t expired_before =

@@ -65,11 +65,13 @@ TrainResult TrainAndSample(uint64_t seed) {
 
   TrainResult result;
   const Matrix empty_context;
+  const Matrix ones(batch, config.vocab_sizes.size(), 1.0f);
   Matrix logits;
   Matrix dlogits;
   for (int step = 0; step < 8; ++step) {
     made.Forward(codes, empty_context, &logits);
-    result.losses.push_back(made.NllLoss(logits, codes, 0, &dlogits));
+    result.losses.push_back(
+        made.NllLossWeighted(logits, codes, 0, ones, &dlogits));
     made.Backward(dlogits, nullptr);
     adam.Step();
   }
